@@ -10,14 +10,16 @@
 // This is the static/structural complement to the *distributed* deadlock
 // detector, which handles data locks held across nodes (paper §3.7.3).
 //
-// Mutexes here protect in-process registries and scheduler state. Simulated
-// processes are cooperatively scheduled (one runs at a time), so the hard
-// rule is: never hold an OrderedMutex across a simulation yield
+// Mutexes here protect in-process registries. Simulated processes are
+// cooperatively scheduled fibers (one runs at a time), so the hard rule is:
+// never hold an OrderedMutex across a simulation yield
 // (sim::Simulation::Block/WaitFor/WaitUntil) — a parked owner would wedge
 // the next process that touches the same mutex. Keep critical sections to
 // pure memory manipulation. cituslint's interprocedural `blocking-under-lock`
-// rule enforces this statically; Clang's -Wthread-safety verifies the
-// GUARDED_BY/REQUIRES discipline (see common/thread_annotations.h).
+// rule enforces this statically and the simulation kernel at runtime (it
+// aborts when a process yields with HeldLockDepth() non-zero); Clang's
+// -Wthread-safety verifies the GUARDED_BY/REQUIRES discipline (see
+// common/thread_annotations.h).
 #ifndef CITUSX_COMMON_ORDERED_MUTEX_H_
 #define CITUSX_COMMON_ORDERED_MUTEX_H_
 
@@ -39,17 +41,20 @@ enum class LockRank : int {
   kLockTable = 40,        // engine lock manager's lock table
   kMetricsRegistry = 50,  // obs metrics name -> handle maps
   kTraceCollector = 60,   // obs distributed trace span buffer
-  kSimScheduler = 70,     // simulation kernel: event queue + baton handoff
 };
 
 /// Short human-readable name ("ConnectionPool", ...).
 const char* LockRankName(LockRank rank);
 
+/// Number of OrderedMutexes the calling thread holds. The simulation kernel
+/// requires zero at every yield (see the rule above).
+int HeldLockDepth();
+
 /// A std::mutex that participates in the global rank order and in Clang's
 /// thread-safety analysis. Satisfies Lockable, but do NOT wrap it in
 /// std::lock_guard/std::unique_lock: libstdc++'s guards carry no
 /// thread-safety annotations, so the compiler cannot see the acquisition.
-/// Use MutexLock / UniqueMutexLock below instead (cituslint enforces this).
+/// Use MutexLock below instead (cituslint enforces this).
 class CAPABILITY("ordered_mutex") OrderedMutex {
  public:
   explicit OrderedMutex(LockRank rank) : rank_(rank) {}
@@ -87,41 +92,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   OrderedMutex& mu_;
-};
-
-/// Scoped lock that can be dropped and re-taken, equivalent to
-/// std::unique_lock<OrderedMutex>. Satisfies BasicLockable, so it composes
-/// with std::condition_variable_any — the simulation kernel's baton handoff
-/// waits on the scheduler mutex through one of these.
-class SCOPED_CAPABILITY UniqueMutexLock {
- public:
-  explicit UniqueMutexLock(OrderedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-    owned_ = true;
-  }
-
-  UniqueMutexLock(const UniqueMutexLock&) = delete;
-  UniqueMutexLock& operator=(const UniqueMutexLock&) = delete;
-
-  ~UniqueMutexLock() RELEASE() {
-    if (owned_) mu_.unlock();
-  }
-
-  void lock() ACQUIRE() {
-    mu_.lock();
-    owned_ = true;
-  }
-
-  void unlock() RELEASE() {
-    owned_ = false;
-    mu_.unlock();
-  }
-
-  bool owns_lock() const { return owned_; }
-
- private:
-  OrderedMutex& mu_;
-  bool owned_ = false;
 };
 
 }  // namespace citusx

@@ -1,6 +1,7 @@
 #include "exec/vectorized.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -394,18 +395,22 @@ struct PipelineRun {
   }
 };
 
-Result<std::string> RowKeyOf(ExecContext& ctx,
-                             const std::vector<ExprPtr>& keys,
-                             const sql::Row& row) {
-  std::string out;
+/// Writes the join key of `row` into `*out` (reusing its buffer); empty
+/// when any key column is NULL.
+Status RowKeyOf(ExecContext& ctx, const std::vector<ExprPtr>& keys,
+                const sql::Row& row, std::string* out) {
+  out->clear();
   auto ec = ctx.EvalCtx(&row);
   for (const auto& k : keys) {
     CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*k, ec));
-    if (v.is_null()) return std::string();  // NULL keys never join
-    out += v.GroupKey();
-    out.push_back('\x1f');
+    if (v.is_null()) {  // NULL keys never join
+      out->clear();
+      return Status::OK();
+    }
+    *out += v.GroupKey();
+    out->push_back('\x1f');
   }
-  return out;
+  return Status::OK();
 }
 
 // ---- min/max stripe pruning ------------------------------------------------
@@ -516,6 +521,7 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
       }
       size_t width = static_cast<size_t>(src.table->schema().num_columns());
       std::vector<std::vector<sql::Datum>> cols(width);
+      for (auto& c : cols) c.reserve(static_cast<size_t>(m.end - m.begin));
       for (int64_t rid = m.begin; rid < m.end; rid++) {
         if (!src.table->heap->TouchRow(static_cast<storage::RowId>(rid),
                                        /*dirty=*/false)) {
@@ -545,6 +551,7 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
       }
       size_t width = src.width;
       std::vector<std::vector<sql::Datum>> cols(width);
+      for (auto& c : cols) c.reserve(static_cast<size_t>(m.end - m.begin));
       for (int64_t r = m.begin; r < m.end; r++) {
         const sql::Row& row = (*rows)[static_cast<size_t>(r)];
         for (size_t c = 0; c < width && c < row.size(); c++) {
@@ -625,7 +632,9 @@ Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
   size_t left_width = chunk->columns.size();
   size_t out_width = left_width + op.build_width;
   std::vector<std::vector<sql::Datum>> cols(out_width);
+  for (auto& c : cols) c.reserve(static_cast<size_t>(n));
   sql::Row scratch;
+  std::string key;
   auto emit = [&](const sql::Row& left, const sql::Row* right) {
     for (size_t c = 0; c < left_width; c++) cols[c].push_back(left[c]);
     for (size_t c = 0; c < op.build_width; c++) {
@@ -635,7 +644,7 @@ Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
   };
   for (int64_t i = 0; i < n; i++) {
     chunk->GatherRow(i, &scratch);
-    CITUSX_ASSIGN_OR_RETURN(std::string key, RowKeyOf(ctx, op.keys, scratch));
+    CITUSX_RETURN_IF_ERROR(RowKeyOf(ctx, op.keys, scratch, &key));
     bool matched = false;
     if (!key.empty()) {
       auto it = table.find(key);
@@ -674,11 +683,7 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
   switch (sink.kind) {
     case VecSink::Kind::kCollect: {
       auto& rows = run.local_rows[static_cast<size_t>(worker)];
-      sql::Row scratch;
-      for (int64_t i = 0; i < n; i++) {
-        chunk.GatherRow(i, &scratch);
-        rows.push_back(scratch);
-      }
+      for (int64_t i = 0; i < n; i++) chunk.GatherRow(i, &rows.emplace_back());
       return Status::OK();
     }
     case VecSink::Kind::kHashBuild: {
@@ -687,12 +692,12 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
         return Status::OK();
       }
       auto& table = run.local_tables[static_cast<size_t>(worker)];
-      sql::Row scratch;
+      std::string key;
       for (int64_t i = 0; i < n; i++) {
-        chunk.GatherRow(i, &scratch);
-        CITUSX_ASSIGN_OR_RETURN(std::string key,
-                                RowKeyOf(ctx, sink.keys, scratch));
-        if (!key.empty()) table[key].push_back(scratch);
+        sql::Row row;
+        chunk.GatherRow(i, &row);
+        CITUSX_RETURN_IF_ERROR(RowKeyOf(ctx, sink.keys, row, &key));
+        if (!key.empty()) table[key].push_back(std::move(row));
       }
       return Status::OK();
     }
@@ -703,11 +708,13 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
       }
       auto& groups = run.local_groups[static_cast<size_t>(worker)];
       sql::Row scratch;
+      std::string key;
+      sql::Row key_vals;
       for (int64_t i = 0; i < n; i++) {
         chunk.GatherRow(i, &scratch);
         auto ec = ctx.EvalCtx(&scratch);
-        std::string key;
-        sql::Row key_vals;
+        key.clear();
+        key_vals.clear();
         for (const auto& g : sink.group_exprs) {
           CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*g, ec));
           key += v.GroupKey();
@@ -716,7 +723,7 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
         }
         auto [it, added] = groups.try_emplace(key);
         if (added) {
-          it->second.keys = std::move(key_vals);
+          it->second.keys = key_vals;
           it->second.states.resize(sink.aggs.size());
         }
         for (size_t a = 0; a < sink.aggs.size(); a++) {
@@ -979,8 +986,11 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
   switch (pipe.sink.kind) {
     case VecSink::Kind::kCollect: {
       auto& out = (*inters)[static_cast<size_t>(pipe.sink.target)];
+      size_t total = out.size();
+      for (const auto& local : run->local_rows) total += local.size();
+      out.reserve(total);
       for (auto& local : run->local_rows) {
-        for (auto& row : local) out.push_back(std::move(row));
+        std::move(local.begin(), local.end(), std::back_inserter(out));
       }
       for (const PostOp& post : pipe.posts) {
         CITUSX_RETURN_IF_ERROR(ApplyPost(ctx, post, &out));
@@ -992,8 +1002,11 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       auto& table = (*hash_tables)[static_cast<size_t>(pipe.sink.target)];
       for (auto& local : run->local_tables) {
         for (auto& [key, rows] : local) {
-          auto& dst = table[key];
-          for (auto& row : rows) dst.push_back(std::move(row));
+          auto [it, added] = table.try_emplace(key, std::move(rows));
+          if (!added) {
+            std::move(rows.begin(), rows.end(),
+                      std::back_inserter(it->second));
+          }
         }
         local.clear();
       }

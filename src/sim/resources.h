@@ -37,8 +37,6 @@ class CpuResource {
     return sim_->WaitUntil(end);
   }
 
-  int cores() const { return static_cast<int>(core_busy_until_.size()); }
-
   /// Total CPU-nanoseconds consumed (for utilization reporting).
   Time busy_total() const { return busy_total_; }
 
@@ -72,7 +70,6 @@ class DiskResource {
   }
 
   int64_t ops_total() const { return ops_total_; }
-  Time service_time() const { return service_time_; }
 
  private:
   Simulation* sim_;
@@ -130,7 +127,6 @@ class Semaphore {
 
   int64_t available() const { return available_; }
   int64_t capacity() const { return capacity_; }
-  int64_t waiting() const { return static_cast<int64_t>(waiters_.size()); }
 
  private:
   Simulation* sim_;

@@ -1,19 +1,84 @@
 #include "sim/simulation.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
+#include "common/ordered_mutex.h"
 #include "sim/fault.h"
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+#ifdef __SANITIZE_THREAD__
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace citusx::sim {
 
 namespace {
+// The default pthread stack size: deep parser/planner recursion needs
+// megabytes under ASan. MAP_NORESERVE commits only the pages a fiber touches.
+constexpr size_t kStackSize = size_t{8} << 20;
+const size_t kGuardSize = static_cast<size_t>(sysconf(_SC_PAGESIZE));
 thread_local Process* g_current_process = nullptr;
 }  // namespace
 
+/// A saved execution context. A process fiber owns an mmap'd stack above a
+/// PROT_NONE guard page and runs FiberMain, parking on the free list between
+/// processes; the driving context (no `mapping`) runs on the stack of the
+/// caller of Run()/Shutdown(), whose bounds ASan reports.
+struct Fiber {
+  Fiber() = default;
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+  ~Fiber() {
+    if (mapping == nullptr) return;
+#ifdef __SANITIZE_ADDRESS__
+    // The parked frames' redzones would poison the next mapping at this
+    // address.
+    ASAN_UNPOISON_MEMORY_REGION(bottom, size);
+#endif
+    munmap(mapping, kGuardSize + kStackSize);
+#ifdef __SANITIZE_THREAD__
+    __tsan_destroy_fiber(tsan);
+#endif
+  }
+  ucontext_t context{};
+  char* mapping = nullptr;
+  const void* bottom = nullptr;  // usable stack, for ASan
+  size_t size = 0;
+  void* tsan = nullptr;
+  Fiber* resumed_by = nullptr;
+};
+
+namespace {
+
+// Runs in the context just resumed: tells ASan which stack it left behind.
+void FinishSwitch([[maybe_unused]] Fiber* me,
+                  [[maybe_unused]] void* fake_stack) {
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(fake_stack, &me->resumed_by->bottom,
+                                  &me->resumed_by->size);
+#endif
+}
+
+}  // namespace
+
+Process::Process(Simulation* sim, uint64_t id, std::string name, bool daemon,
+                 std::function<void()> fn)
+    : sim_(sim), id_(id), name_(std::move(name)), daemon_(daemon),
+      fn_(std::move(fn)) {}
+
+Process::~Process() = default;
+
 Process* Simulation::Current() { return g_current_process; }
 
-Simulation::Simulation() = default;
+Simulation::Simulation() : driver_(std::make_unique<Fiber>()) {}
 
 Simulation::~Simulation() { Shutdown(); }
 
@@ -22,181 +87,190 @@ FaultInjector& Simulation::faults() {
   return *faults_;
 }
 
-Time Simulation::now() const {
-  MutexLock lock(sched_mu_);
-  return now_;
-}
-
 Process* Simulation::Spawn(std::string name, std::function<void()> fn,
                            bool daemon) {
-  MutexLock lock(sched_mu_);
   assert(!shutdown_done_ && "Spawn after Shutdown");
-  // Reap finished processes: their threads have exited (or are about to);
-  // joining here bounds thread and memory usage for workloads that spawn a
-  // process per operation (parallel 2PC phases, executor runners).
-  for (auto it = processes_.begin(); it != processes_.end();) {
-    Process* p = it->get();
-    if (p->state_ == Process::State::kDone && p->thread_.joinable()) {
-      p->thread_.join();
-      it = processes_.erase(it);
-    } else {
-      ++it;
+  // Free finished processes once they outnumber the live ones: amortized
+  // O(1) for workloads that spawn a process per operation.
+  if (processes_.size() - live_ > live_) {
+    std::erase_if(processes_, [](const std::unique_ptr<Process>& p) {
+      return p->state_ == Process::State::kDone;
+    });
+  }
+  processes_.push_back(std::unique_ptr<Process>(
+      new Process(this, next_id_++, std::move(name), daemon, std::move(fn))));
+  live_++;
+  if (!daemon) live_workers_++;
+  Enqueue(processes_.back().get(), now_);
+  return processes_.back().get();
+}
+
+std::unique_ptr<Fiber> Simulation::NewFiber() {
+  if (!free_fibers_.empty()) {
+    std::unique_ptr<Fiber> f = std::move(free_fibers_.back());
+    free_fibers_.pop_back();
+    return f;
+  }
+  void* m = mmap(nullptr, kGuardSize + kStackSize, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  if (m == MAP_FAILED || mprotect(m, kGuardSize, PROT_NONE) != 0) {
+    std::perror("[sim] cannot map a fiber stack");
+    std::abort();
+  }
+  auto f = std::make_unique<Fiber>();
+  f->mapping = static_cast<char*>(m);
+  f->bottom = f->mapping + kGuardSize;
+  f->size = kStackSize;
+  getcontext(&f->context);
+  f->context.uc_stack.ss_sp = f->mapping + kGuardSize;
+  f->context.uc_stack.ss_size = kStackSize;
+  makecontext(&f->context, &Simulation::FiberMain, 0);
+  // Only makecontext reads uc_stack; clearing it stops ASan's swapcontext
+  // interceptor from wiping the stack's shadow on every switch.
+  f->context.uc_stack.ss_size = 0;
+#ifdef __SANITIZE_THREAD__
+  f->tsan = __tsan_create_fiber(0);
+#endif
+  stacks_allocated_++;
+  return f;
+}
+
+void Simulation::FiberMain() {
+  FinishSwitch(g_current_process->fiber_.get(), nullptr);
+  for (;;) {  // one iteration per process run on this fiber
+    Process* self = g_current_process;
+    {
+      std::function<void()> fn = std::move(self->fn_);
+      if (!self->cancelled_) fn();
     }
+    Simulation* sim = self->sim_;
+    self->state_ = Process::State::kDone;
+    sim->live_--;
+    if (!self->daemon_) sim->live_workers_--;
+    Process* next =
+        sim->stopping_ || sim->live_workers_ > 0 ? sim->PopNext() : nullptr;
+    if (next != nullptr && next->fiber_ == nullptr) {
+      // A process that has never run takes this fiber over in place.
+      next->fiber_ = std::move(self->fiber_);
+      g_current_process = next;
+      continue;
+    }
+    // Park on the free list until NewFiber hands this fiber to a new process.
+    Fiber* fiber = self->fiber_.get();
+    sim->free_fibers_.push_back(std::move(self->fiber_));
+    sim->SwitchTo(fiber, next);
   }
-  auto owned = std::unique_ptr<Process>(
-      new Process(this, next_id_++, std::move(name), daemon));
-  Process* p = owned.get();
-  processes_.push_back(std::move(owned));
-  EnqueueLocked(p, now_);
-  p->thread_ = std::thread([this, p, fn = std::move(fn)]() mutable {
-    ProcessMain(p, std::move(fn));
-  });
-  return p;
 }
 
-void Simulation::ProcessMain(Process* p, std::function<void()> fn) {
-  g_current_process = p;
-  {
-    UniqueMutexLock lock(sched_mu_);
-    while (running_ != p) p->cv_.wait(lock);
-  }
-  if (!p->cancelled_) fn();
-  // Process exit: hand the baton onward.
-  UniqueMutexLock lock(sched_mu_);
-  p->state_ = Process::State::kDone;
-  running_ = nullptr;
-  bool stop_dispatch = !stopping_ && AllWorkersDoneLocked();
-  if (stop_dispatch || !DispatchNextLocked()) driver_cv_.notify_all();
-}
-
-void Simulation::EnqueueLocked(Process* p, Time t) {
+void Simulation::Enqueue(Process* p, Time t) {
   assert(t >= now_);
   events_.push(Event{t, next_seq_++, p});
 }
 
-bool Simulation::AllWorkersDoneLocked() const {
-  for (const auto& p : processes_) {
-    if (!p->daemon_ && p->state_ != Process::State::kDone) return false;
-  }
-  return true;
-}
-
-bool Simulation::DispatchNextLocked() {
-  if (events_.empty()) return false;
+Process* Simulation::PopNext() {
+  if (events_.empty()) return nullptr;
   Event e = events_.top();
   events_.pop();
   events_processed_++;
   if (e.time > now_) now_ = e.time;
-  running_ = e.process;
   e.process->state_ = Process::State::kRunning;
-  e.process->cv_.notify_one();
-  return true;
+  return e.process;
 }
 
-bool Simulation::YieldLocked(UniqueMutexLock& lock,
-                             Process* self) {
-  running_ = nullptr;
-  bool stop_dispatch = !stopping_ && AllWorkersDoneLocked();
-  if (stop_dispatch || !DispatchNextLocked()) driver_cv_.notify_all();
-  while (running_ != self) self->cv_.wait(lock);
+void Simulation::SwitchTo(Fiber* self, Process* to) {
+  if (to != nullptr && to->fiber_ == nullptr) to->fiber_ = NewFiber();
+  Fiber* target = to != nullptr ? to->fiber_.get() : driver_.get();
+  target->resumed_by = self;
+  g_current_process = to;
+  void* fake_stack = nullptr;
+#ifdef __SANITIZE_THREAD__
+  __tsan_switch_to_fiber(target->tsan, 0);
+#endif
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_start_switch_fiber(&fake_stack, target->bottom, target->size);
+#endif
+  swapcontext(&self->context, &target->context);
+  FinishSwitch(self, fake_stack);
+}
+
+bool Simulation::Yield(Process::State state, Time t) {
+  Process* self = Current();
+  assert(self != nullptr && "yield outside a simulated process");
+  if (self->cancelled_) return false;
+  // DESIGN.md §6.4 at runtime: a process parked while holding an
+  // OrderedMutex would wedge the next process that locks it on this thread.
+  if (HeldLockDepth() != 0) {
+    std::fprintf(stderr, "[sim] %s: yield while holding %d "
+                 "OrderedMutex(es)\n", self->name().c_str(), HeldLockDepth());
+    std::abort();
+  }
+  self->state_ = state;
+  if (state == Process::State::kReady) Enqueue(self, t < now_ ? now_ : t);
+  Process* next = stopping_ || live_workers_ > 0 ? PopNext() : nullptr;
+  if (next != self) SwitchTo(self->fiber_.get(), next);
   self->state_ = Process::State::kRunning;
   return !self->cancelled_;
 }
 
+bool Simulation::Step() {
+  Process* next = PopNext();
+  if (next == nullptr) return false;
+  Process* const outer = g_current_process;  // non-null when nested
+#ifdef __SANITIZE_THREAD__
+  driver_->tsan = __tsan_get_current_fiber();
+#endif
+  SwitchTo(driver_.get(), next);
+  g_current_process = outer;
+  return true;
+}
+
 bool Simulation::WaitUntil(Time t) {
-  Process* self = Current();
-  assert(self != nullptr && "WaitUntil outside a simulated process");
-  UniqueMutexLock lock(sched_mu_);
-  if (self->cancelled_) return false;
-  self->state_ = Process::State::kReady;
-  EnqueueLocked(self, t < now_ ? now_ : t);
-  return YieldLocked(lock, self);
+  return Yield(Process::State::kReady, t);
 }
 
-bool Simulation::WaitFor(Time d) {
-  UniqueMutexLock lock(sched_mu_);
-  Process* self = Current();
-  assert(self != nullptr && "WaitFor outside a simulated process");
-  if (self->cancelled_) return false;
-  self->state_ = Process::State::kReady;
-  EnqueueLocked(self, now_ + (d < 0 ? 0 : d));
-  return YieldLocked(lock, self);
-}
+bool Simulation::WaitFor(Time d) { return WaitUntil(now_ + (d < 0 ? 0 : d)); }
 
-bool Simulation::Block() {
-  Process* self = Current();
-  assert(self != nullptr && "Block outside a simulated process");
-  UniqueMutexLock lock(sched_mu_);
-  if (self->cancelled_) return false;
-  self->state_ = Process::State::kBlocked;
-  return YieldLocked(lock, self);
-}
+bool Simulation::Block() { return Yield(Process::State::kBlocked, 0); }
 
 void Simulation::Wake(Process* p) {
-  MutexLock lock(sched_mu_);
   if (p->state_ != Process::State::kBlocked) return;
   p->state_ = Process::State::kReady;
-  EnqueueLocked(p, now_);
+  Enqueue(p, now_);
 }
 
 void Simulation::Run() {
-  UniqueMutexLock lock(sched_mu_);
-  for (;;) {
-    if (running_ == nullptr) {
-      if (AllWorkersDoneLocked()) return;
-      if (!DispatchNextLocked()) {
-        // Nothing runnable but workers not done: simulated deadlock.
-        int blocked = 0;
-        for (const auto& p : processes_) {
-          if (!p->daemon_ && p->state_ == Process::State::kBlocked) blocked++;
-        }
-        if (blocked > 0) {
-          std::fprintf(stderr,
-                       "[sim] Run() returning with %d blocked worker(s) -- "
-                       "simulated deadlock\n",
-                       blocked);
-        }
-        return;
-      }
+  while (live_workers_ > 0) {
+    if (Step()) continue;
+    // Nothing runnable but workers not done: simulated deadlock.
+    int blocked = 0;
+    for (const auto& p : processes_) {
+      if (!p->daemon_ && p->state_ == Process::State::kBlocked) blocked++;
     }
-    driver_cv_.wait(lock);
+    if (blocked > 0) {
+      std::fprintf(stderr,
+                   "[sim] Run() returning with %d blocked worker(s) -- "
+                   "simulated deadlock\n",
+                   blocked);
+    }
+    return;
   }
 }
 
 void Simulation::Shutdown() {
-  UniqueMutexLock lock(sched_mu_);
   if (shutdown_done_) return;
-  stopping_.store(true, std::memory_order_release);
+  stopping_ = true;
   for (const auto& p : processes_) {
     if (p->state_ == Process::State::kDone) continue;
     p->cancelled_ = true;
     if (p->state_ == Process::State::kBlocked) {
       p->state_ = Process::State::kReady;
-      EnqueueLocked(p.get(), now_);
+      Enqueue(p.get(), now_);
     }
   }
-  for (;;) {
-    bool all_done = true;
-    for (const auto& p : processes_) {
-      if (p->state_ != Process::State::kDone) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-    if (running_ == nullptr && !DispatchNextLocked()) break;
-    driver_cv_.wait(lock);
-  }
-  // Move the thread handles out under the lock, then join without it: a
-  // joining thread must not hold sched_mu_ while the joined process's final
-  // ProcessMain block takes it.
-  std::vector<std::thread> threads;
-  for (auto& p : processes_) {
-    if (p->thread_.joinable()) threads.push_back(std::move(p->thread_));
+  while (live_ > 0 && Step()) {
   }
   shutdown_done_ = true;
-  lock.unlock();
-  for (auto& t : threads) t.join();
 }
 
 }  // namespace citusx::sim

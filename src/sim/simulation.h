@@ -5,26 +5,24 @@
 // nodes and IOPS-limited disks can be modelled faithfully on a 1-core host and
 // benchmarks are deterministic.
 //
-// Model: simulated processes are OS threads, but exactly one runs at a time;
-// control is handed directly from the yielding process to the next scheduled
-// one ("pass the baton"). Processes block either by scheduling a timer event
-// for themselves (WaitFor / WaitUntil) or by parking until another process
-// wakes them (Wake). All ordering ties are broken by a monotonically
-// increasing sequence number, so runs are fully deterministic.
+// Model: simulated processes are stackful fibers (ucontext, 8 MB stacks taken
+// from a free list at first dispatch) that all run on the thread calling
+// Run()/Shutdown(). Processes block either by scheduling a timer event for
+// themselves (WaitFor / WaitUntil) or by parking until another process wakes
+// them (Wake); the yielding fiber switches straight to the next event's
+// fiber. All ordering ties are broken by a monotonically increasing sequence
+// number, so runs are fully deterministic. Yielding while holding an
+// OrderedMutex aborts (DESIGN.md §6.4).
 #ifndef CITUSX_SIM_SIMULATION_H_
 #define CITUSX_SIM_SIMULATION_H_
 
-#include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "common/ordered_mutex.h"
 
 namespace citusx::sim {
 
@@ -37,12 +35,15 @@ constexpr Time kSecond = 1000 * kMillisecond;
 
 class Simulation;
 class FaultInjector;
+struct Fiber;  // execution context + stack (simulation.cc)
 
 /// One simulated thread of control. Created via Simulation::Spawn; the body
-/// runs on a dedicated OS thread but only while it holds the baton.
+/// runs on its own fiber, switched to whenever one of its events is due.
 class Process {
  public:
   enum class State { kReady, kRunning, kBlocked, kDone };
+
+  ~Process();
 
   const std::string& name() const { return name_; }
   uint64_t id() const { return id_; }
@@ -52,21 +53,17 @@ class Process {
  private:
   friend class Simulation;
 
-  Process(Simulation* sim, uint64_t id, std::string name, bool daemon)
-      : sim_(sim), id_(id), name_(std::move(name)), daemon_(daemon) {}
+  Process(Simulation* sim, uint64_t id, std::string name, bool daemon,
+          std::function<void()> fn);
 
   Simulation* sim_;
   uint64_t id_;
   std::string name_;
   bool daemon_;
-  // state_/cancelled_ are mutated only under the owning simulation's
-  // sched_mu_, but a process reads its own flags lock-free between yields
-  // (cooperative schedule: flags only change while the reader is parked),
-  // so they are deliberately not GUARDED_BY.
   State state_ = State::kReady;
   bool cancelled_ = false;
-  std::condition_variable_any cv_;
-  std::thread thread_;
+  std::function<void()> fn_;     // moved onto the fiber at first dispatch
+  std::unique_ptr<Fiber> fiber_;  // null until first dispatch and after exit
 };
 
 /// The simulation: virtual clock, event queue, process registry.
@@ -75,7 +72,7 @@ class Process {
 ///   Simulation sim;
 ///   sim.Spawn("client", [&] { ... sim.WaitFor(10 * kMillisecond); ... });
 ///   sim.Run();        // returns when all non-daemon processes finish
-///   sim.Shutdown();   // cancels daemons and joins all threads
+///   sim.Shutdown();   // cancels daemons and lets every fiber unwind
 class Simulation {
  public:
   Simulation();
@@ -85,51 +82,49 @@ class Simulation {
   Simulation& operator=(const Simulation&) = delete;
 
   /// Current virtual time. Callable from anywhere.
-  Time now() const EXCLUDES(sched_mu_);
+  Time now() const { return now_; }
 
   /// Create a process scheduled to start at the current virtual time.
   /// Daemon processes do not keep Run() alive.
   Process* Spawn(std::string name, std::function<void()> fn,
-                 bool daemon = false) EXCLUDES(sched_mu_);
+                 bool daemon = false);
 
   /// Drive the simulation until every non-daemon process has finished (or
-  /// nothing is runnable). Must be called from the driving (non-sim) thread.
-  void Run() EXCLUDES(sched_mu_);
+  /// nothing is runnable). Runs every process on the calling thread; may be
+  /// called from inside a process of another simulation.
+  void Run();
 
-  /// Cancel all live processes, drain them, and join their threads.
+  /// Cancel all live processes and run each until its body returns.
   /// After Shutdown the simulation can no longer spawn processes.
-  void Shutdown() EXCLUDES(sched_mu_);
+  void Shutdown();
 
   /// True once Shutdown has begun; long-running loops should exit.
-  bool stopping() const {
-    return stopping_.load(std::memory_order_acquire);
-  }
+  bool stopping() const { return stopping_; }
 
   // ---- Calls below are only valid from within a simulated process. ----
 
   /// Sleep until virtual time `t`. Returns false if cancelled.
-  bool WaitUntil(Time t) EXCLUDES(sched_mu_);
+  bool WaitUntil(Time t);
 
   /// Sleep for `d` virtual nanoseconds. Returns false if cancelled.
-  bool WaitFor(Time d) EXCLUDES(sched_mu_);
+  bool WaitFor(Time d);
 
   /// Park the calling process until another process calls Wake on it.
   /// Returns false if cancelled instead of woken.
-  bool Block() EXCLUDES(sched_mu_);
+  bool Block();
 
   /// Make a parked process runnable at the current virtual time.
   /// May be called from a running process or (between Run calls) externally.
-  void Wake(Process* p) EXCLUDES(sched_mu_);
+  void Wake(Process* p);
 
-  /// The process currently holding the baton on this thread (null on the
-  /// driving thread).
+  /// The process running on this thread (null outside any process).
   static Process* Current();
 
   /// Number of events processed so far (for tests/diagnostics).
-  uint64_t events_processed() const EXCLUDES(sched_mu_) {
-    MutexLock lock(sched_mu_);
-    return events_processed_;
-  }
+  uint64_t events_processed() const { return events_processed_; }
+
+  /// Number of fiber stacks mapped so far (for tests/diagnostics).
+  size_t stacks_allocated() const { return stacks_allocated_; }
 
   /// The simulation's fault injector (chaos testing), created lazily on
   /// first access. Callable from anywhere in the simulation domain.
@@ -149,38 +144,35 @@ class Simulation {
     }
   };
 
-  // Pre: lock held, caller is the running process and has either enqueued
-  // itself or set its state to kBlocked. Hands the baton to the next event's
-  // process (or the driving thread) and waits until this process runs again.
-  // Returns false if the process was cancelled.
-  bool YieldLocked(UniqueMutexLock& lock, Process* self) REQUIRES(sched_mu_);
+  // Parks the running process as `state` (kReady: with an event at `t`) and
+  // switches to the next event's process, or to the driving context if the
+  // queue is empty or all workers are done. False if cancelled.
+  bool Yield(Process::State state, Time t);
+  // Driving context: runs the next event's process; false if none is queued.
+  bool Step();
+  // Saves the running context into `self` and resumes `to` (null: the
+  // driving context), giving `to` a fiber from NewFiber() at first dispatch.
+  void SwitchTo(Fiber* self, Process* to);
+  // A parked fiber from the free list, or a new stack entering FiberMain.
+  std::unique_ptr<Fiber> NewFiber();
+  Process* PopNext();
+  void Enqueue(Process* p, Time t);
+  static void FiberMain();
 
-  // Pre: lock held, running_ == nullptr. Pops the next event and hands the
-  // baton to its process. Returns false if the queue is empty.
-  bool DispatchNextLocked() REQUIRES(sched_mu_);
-
-  void EnqueueLocked(Process* p, Time t) REQUIRES(sched_mu_);
-  bool AllWorkersDoneLocked() const REQUIRES(sched_mu_);
-
-  void ProcessMain(Process* p, std::function<void()> fn);
-
-  // The baton-handoff lock: innermost rank — Wake() is called while the
-  // lock manager or a channel holds its own lock.
-  mutable OrderedMutex sched_mu_{LockRank::kSimScheduler};
-  std::condition_variable_any driver_cv_;
-  Time now_ GUARDED_BY(sched_mu_) = 0;
-  uint64_t next_seq_ GUARDED_BY(sched_mu_) = 0;
-  uint64_t next_id_ GUARDED_BY(sched_mu_) = 1;
-  uint64_t events_processed_ GUARDED_BY(sched_mu_) = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_
-      GUARDED_BY(sched_mu_);
-  std::vector<std::unique_ptr<Process>> processes_ GUARDED_BY(sched_mu_);
-  Process* running_ GUARDED_BY(sched_mu_) = nullptr;
-  std::atomic<bool> stopping_{false};
-  bool shutdown_done_ GUARDED_BY(sched_mu_) = false;
-  // Created lazily from the simulation domain (single running process);
-  // deliberately not guarded.
-  std::unique_ptr<FaultInjector> faults_;
+  Time now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t next_id_ = 1;
+  uint64_t events_processed_ = 0;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  std::vector<std::unique_ptr<Process>> processes_;
+  size_t live_ = 0;          // processes not yet kDone
+  size_t live_workers_ = 0;  // non-daemon processes not yet kDone
+  bool stopping_ = false;
+  bool shutdown_done_ = false;
+  std::unique_ptr<Fiber> driver_;  // context of the caller of Run()
+  std::vector<std::unique_ptr<Fiber>> free_fibers_;
+  size_t stacks_allocated_ = 0;
+  std::unique_ptr<FaultInjector> faults_;  // created lazily
 };
 
 }  // namespace citusx::sim

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/ordered_mutex.h"
 #include "sim/channel.h"
 #include "sim/histogram.h"
 #include "sim/resources.h"
+#include "sql/parser.h"
 
 namespace citusx::sim {
 namespace {
@@ -127,6 +130,108 @@ TEST(Simulation, SpawnFromWithinProcess) {
   sim.Run();
   EXPECT_EQ(child_ran_at, 10);
   sim.Shutdown();
+}
+
+TEST(Simulation, DeepRecursionFitsOnAFiberStack) {
+  // 200 nested parentheses recurse through every precedence level of the
+  // parser: over half a megabyte of stack in a release build and several
+  // megabytes under ASan, so this needs a thread-sized fiber stack.
+  constexpr int kDepth = 200;
+  std::string expr = std::string(kDepth, '(') + "1" + std::string(kDepth, ')');
+  Simulation sim;
+  bool parsed = false;
+  sim.Spawn("parser", [&] {
+    sim.WaitFor(1);
+    parsed = sql::ParseExpression(expr).ok();
+  });
+  sim.Run();
+  EXPECT_TRUE(parsed);
+  sim.Shutdown();
+}
+
+TEST(Simulation, ShutdownUnwindsABlockedFiber) {
+  struct Guard {
+    bool* destroyed;
+    ~Guard() { *destroyed = true; }
+  };
+  Simulation sim;
+  bool destroyed = false;
+  sim.Spawn(
+      "stuck",
+      [&] {
+        Guard guard{&destroyed};
+        sim.Block();
+      },
+      /*daemon=*/true);
+  sim.Spawn("worker", [&] { sim.WaitFor(1); });
+  sim.Run();
+  EXPECT_FALSE(destroyed);
+  sim.Shutdown();
+  EXPECT_TRUE(destroyed);
+}
+
+TEST(Simulation, SequentialSpawnsReuseStacks) {
+  constexpr int kChildren = 100000;
+  Simulation sim;
+  int ran = 0;
+  sim.Spawn("parent", [&] {
+    Process* self = Simulation::Current();
+    for (int i = 0; i < kChildren; i++) {
+      sim.Spawn("child", [&] {
+        ran++;
+        sim.Wake(self);
+      });
+      ASSERT_TRUE(sim.Block());
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(ran, kChildren);
+  // At most the parent and one child are ever live.
+  EXPECT_LE(sim.stacks_allocated(), 2u);
+  sim.Shutdown();
+}
+
+TEST(Simulation, NestedRunRestoresCurrent) {
+  Simulation outer;
+  Process* outer_proc = nullptr;
+  Process* inner_proc = nullptr;
+  Process* seen_inside = nullptr;
+  Process* seen_after = nullptr;
+  Time inner_end = -1;
+  outer_proc = outer.Spawn("outer", [&] {
+    outer.WaitFor(7);
+    Simulation inner;
+    inner_proc = inner.Spawn("inner", [&] {
+      inner.WaitFor(5);
+      seen_inside = Simulation::Current();
+      inner_end = inner.now();
+    });
+    inner.Run();
+    inner.Shutdown();
+    seen_after = Simulation::Current();
+    outer.WaitFor(1);
+  });
+  outer.Run();
+  EXPECT_EQ(seen_inside, inner_proc);
+  EXPECT_EQ(inner_end, 5);
+  EXPECT_EQ(seen_after, outer_proc);
+  EXPECT_EQ(outer.now(), 8);
+  EXPECT_EQ(Simulation::Current(), nullptr);
+  outer.Shutdown();
+}
+
+TEST(SimulationDeathTest, WaitUnderLockAborts) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        OrderedMutex mu(LockRank::kCatalog);
+        sim.Spawn("holder", [&] {
+          MutexLock lock(mu);
+          sim.WaitFor(1);
+        });
+        sim.Run();
+      },
+      "holder: yield while holding 1 OrderedMutex");
 }
 
 TEST(CpuResource, SingleCoreSerializesWork) {

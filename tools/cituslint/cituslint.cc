@@ -13,13 +13,13 @@
 //   lock-rank           - OrderedMutex acquisitions must nest in strictly
 //                         increasing LockRank order. The rank table is parsed
 //                         out of src/common/ordered_mutex.h and acquisition
-//                         sites (MutexLock/UniqueMutexLock and the std guard
+//                         sites (MutexLock and the std guard
 //                         templates) are extracted lexically.
 //   raw-mutex           - no std::mutex family outside common/ordered_mutex,
 //                         and no std::lock_guard/unique_lock/scoped_lock
 //                         anywhere: the std guards are invisible to Clang's
 //                         thread-safety analysis, so every acquisition must go
-//                         through the annotated MutexLock/UniqueMutexLock.
+//                         through the annotated MutexLock.
 //   nodiscard           - Status and Result must stay [[nodiscard]] in
 //                         common/status.h.
 //   blocking-under-lock - no blocking call (net round trip, simulated wait,
@@ -440,7 +440,7 @@ void CheckRawMutex(const SourceFile& f, LintResult* out) {
       {"std::lock_guard",
        "std guards are invisible to -Wthread-safety; use MutexLock"},
       {"std::unique_lock",
-       "std guards are invisible to -Wthread-safety; use UniqueMutexLock"},
+       "std guards are invisible to -Wthread-safety; use MutexLock"},
       {"std::scoped_lock",
        "std guards are invisible to -Wthread-safety; use MutexLock"},
   };
@@ -493,7 +493,7 @@ void CheckNodiscard(const SourceFile& f, LintResult* out) {
 
 struct GuardDecl {
   std::string var;    // guard variable name ("lock")
-  std::string mutex;  // trailing identifier of the ctor argument ("sched_mu_")
+  std::string mutex;  // trailing identifier of the ctor argument ("pool_mu_")
   size_t end = 0;     // index of the closing ')' / '}' on the line
 };
 
@@ -685,9 +685,8 @@ void CheckLockRank(const SourceFile& f, const std::map<std::string, int>& decls,
 /// waits, virtual-time resource charges, FIFO admission, net round trips,
 /// and engine statement execution (which charges CPU/IO internally). The
 /// list encodes cross-file knowledge the file-local call graph cannot see.
-/// Deliberately absent: YieldLocked (the sanctioned handoff that releases
-/// the scheduler mutex while parked), Wake, Send, and the Try* family —
-/// those return without blocking.
+/// Deliberately absent: Wake, Send, and the Try* family — those return
+/// without blocking.
 const std::set<std::string>& BlockingSeeds() {
   static const std::set<std::string> kSeeds = {
       // simulation kernel waits
