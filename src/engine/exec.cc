@@ -194,6 +194,10 @@ Result<bool> EmitHeapRow(ExecContext& ctx, TableInfo* table,
   if (v == nullptr) return true;
   if (filter != nullptr) {
     CITUSX_RETURN_IF_ERROR(ctx.ChargeCpu(ctx.cost->cpu_per_expr_eval));
+    // The charge can yield, and a concurrent UPDATE may reallocate the
+    // row's version vector meanwhile: look the version up again.
+    v = table->heap->VisibleVersion(rid, ctx.snapshot, *ctx.txns);
+    if (v == nullptr) return true;
     auto ec = ctx.EvalCtx(&v->row);
     CITUSX_ASSIGN_OR_RETURN(bool keep, sql::EvalPredicate(*filter, ec));
     if (!keep) return true;

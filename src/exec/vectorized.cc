@@ -1,15 +1,17 @@
 #include "exec/vectorized.h"
 
 #include <algorithm>
-#include <iterator>
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <numeric>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/str.h"
 #include "exec/batch.h"
 #include "sim/channel.h"
@@ -24,18 +26,24 @@ using engine::ExecNode;
 using engine::QueryResult;
 using sql::ExprPtr;
 
+const sql::Datum kNullDatum;
+
 // ---------------------------------------------------------------------------
 // Plan IR: a volcano tree is translated into an ordered list of pipelines.
 // Streaming operators (filter/project/hash-probe) live inside a pipeline;
 // pipeline breakers (hash build, aggregate, and the sequential tail ops
 // sort/limit/distinct/strip) terminate one and feed the next through a
-// materialized intermediate.
+// materialized intermediate. Every expression is a constant-folded clone of
+// the planner's (see Fold).
 
 struct VecSource {
   enum class Kind { kColumnar, kHeap, kTemp, kMaterialized };
   Kind kind = Kind::kMaterialized;
   engine::TableInfo* table = nullptr;  // kColumnar / kHeap
-  ExprPtr filter;                      // scan filter; may be null
+  ExprPtr filter;                      // scan filter, folded; may be null
+  // The planner's scan filter, read by min/max stripe pruning: the stripes
+  // scanned (and charged) do not depend on folding.
+  ExprPtr prune_filter;
   std::vector<int> projection;         // kColumnar: referenced columns
   const engine::TempRelation* temp = nullptr;  // kTemp
   int inter = -1;                      // kMaterialized: intermediate slot
@@ -47,22 +55,38 @@ struct VecOp {
   Kind kind = Kind::kFilter;
   ExprPtr predicate;            // kFilter
   std::vector<ExprPtr> exprs;   // kProject
+  // kProject: the input slot of each expression when every one is a plain
+  // column reference (the projection then reuses the input columns).
+  std::vector<int> passthrough;
   // kHashProbe:
   int build = -1;               // hash-table slot
   std::vector<ExprPtr> keys;    // probe keys over the left layout
   ExprPtr residual;
   sql::JoinType join_type = sql::JoinType::kInner;
   size_t build_width = 0;
-  size_t out_width = 0;
+};
+
+/// Aggregate function, resolved once per plan.
+enum class AggKind { kCount, kSum, kAvg, kMin, kMax, kOther };
+
+struct VecAgg {
+  AggKind kind = AggKind::kOther;
+  ExprPtr arg;  // null for count(*)
+  bool distinct = false;
 };
 
 struct VecSink {
   enum class Kind { kCollect, kHashBuild, kAggregate };
   Kind kind = Kind::kCollect;
   int target = -1;              // intermediate slot or hash-table slot
-  std::vector<ExprPtr> keys;    // kHashBuild
+  // kHashBuild: key expressions over the build rows, the build row width,
+  // and where each key's value is stored: its column when the key is a
+  // column reference, else a computed-key column after the row's columns.
+  std::vector<ExprPtr> keys;
+  size_t build_width = 0;
+  std::vector<int> key_cols;
   std::vector<ExprPtr> group_exprs;  // kAggregate
-  std::vector<engine::AggSpec> aggs;
+  std::vector<VecAgg> aggs;
 };
 
 /// Sequential op applied to a collected intermediate once its pipeline
@@ -93,6 +117,65 @@ struct VecPlan {
   int final_inter = -1;  // slot holding the final row set
 };
 
+/// Constant-folds a bound expression for per-row evaluation: bottom-up,
+/// every node whose children are all constants and that is not random()
+/// becomes the constant it evaluates to. A node whose evaluation fails stays
+/// as it is, so the error still surfaces per row (and not at all on empty
+/// input), exactly as in the volcano executor. Column references,
+/// parameters and aggregate slots are never constant. Unchanged subtrees are
+/// shared and `e` is never mutated: the planner's tree is also deparsed into
+/// SQL for other nodes.
+ExprPtr Fold(const ExprPtr& e) {
+  if (e == nullptr) return e;
+  switch (e->kind) {
+    case sql::ExprKind::kConst:
+    case sql::ExprKind::kColumnRef:
+    case sql::ExprKind::kParam:
+    case sql::ExprKind::kAgg:
+    case sql::ExprKind::kStar:
+      return e;
+    default:
+      break;
+  }
+  std::vector<ExprPtr> args;
+  args.reserve(e->args.size());
+  bool changed = false;
+  bool all_const = true;
+  for (const ExprPtr& a : e->args) {
+    ExprPtr f = Fold(a);
+    changed |= f != a;
+    all_const &= f != nullptr && f->kind == sql::ExprKind::kConst;
+    args.push_back(std::move(f));
+  }
+  ExprPtr out = e;
+  if (changed) {
+    out = std::make_shared<sql::Expr>(*e);
+    out->args = std::move(args);
+  }
+  if (all_const &&
+      !(out->kind == sql::ExprKind::kFunc && out->func_name == "random")) {
+    auto v = sql::Eval(*out, sql::EvalContext{});
+    if (v.ok()) return sql::MakeConst(std::move(v).value());
+  }
+  return out;
+}
+
+std::vector<ExprPtr> FoldAll(const std::vector<ExprPtr>& exprs) {
+  std::vector<ExprPtr> out;
+  out.reserve(exprs.size());
+  for (const ExprPtr& e : exprs) out.push_back(Fold(e));
+  return out;
+}
+
+AggKind ResolveAgg(const std::string& func) {
+  if (func == "count") return AggKind::kCount;
+  if (func == "sum") return AggKind::kSum;
+  if (func == "avg") return AggKind::kAvg;
+  if (func == "min") return AggKind::kMin;
+  if (func == "max") return AggKind::kMax;
+  return AggKind::kOther;
+}
+
 // ---------------------------------------------------------------------------
 // Builder: recognizes the volcano node shapes the vectorized engine covers;
 // anything else (index scans, row locking, nested loops, OneRow) declines.
@@ -109,7 +192,8 @@ class Builder {
       out->source.kind = scan->table->is_columnar() ? VecSource::Kind::kColumnar
                                                     : VecSource::Kind::kHeap;
       out->source.table = scan->table;
-      out->source.filter = scan->filter;
+      out->source.filter = Fold(scan->filter);
+      out->source.prune_filter = scan->filter;
       out->source.projection = scan->projection;
       out->source.width = n->output_types.size();
       out->desc = "scan " + scan->table->name;
@@ -118,7 +202,7 @@ class Builder {
     if (auto* temp = dynamic_cast<const engine::TempScanNode*>(n)) {
       out->source.kind = VecSource::Kind::kTemp;
       out->source.temp = temp->relation;
-      out->source.filter = temp->filter;
+      out->source.filter = Fold(temp->filter);
       out->source.width = n->output_types.size();
       out->desc = "scan intermediate";
       return true;
@@ -127,8 +211,7 @@ class Builder {
       if (!Build(filter->input.get(), out)) return false;
       VecOp op;
       op.kind = VecOp::Kind::kFilter;
-      op.predicate = filter->predicate;
-      op.out_width = n->output_types.size();
+      op.predicate = Fold(filter->predicate);
       out->ops.push_back(std::move(op));
       out->desc += " -> filter";
       return true;
@@ -137,8 +220,14 @@ class Builder {
       if (!Build(proj->input.get(), out)) return false;
       VecOp op;
       op.kind = VecOp::Kind::kProject;
-      op.exprs = proj->exprs;
-      op.out_width = proj->exprs.size();
+      op.exprs = FoldAll(proj->exprs);
+      for (const ExprPtr& e : op.exprs) {
+        if (e->kind != sql::ExprKind::kColumnRef || e->slot < 0) {
+          op.passthrough.clear();
+          break;
+        }
+        op.passthrough.push_back(e->slot);
+      }
       out->ops.push_back(std::move(op));
       out->desc += " -> project";
       return true;
@@ -154,7 +243,15 @@ class Builder {
       int slot = plan_->num_hash_tables++;
       build.sink.kind = VecSink::Kind::kHashBuild;
       build.sink.target = slot;
-      build.sink.keys = join->right_keys;
+      build.sink.keys = FoldAll(join->right_keys);
+      build.sink.build_width = join->right->output_types.size();
+      int computed = 0;
+      for (const ExprPtr& k : build.sink.keys) {
+        build.sink.key_cols.push_back(
+            k->kind == sql::ExprKind::kColumnRef && k->slot >= 0
+                ? k->slot
+                : static_cast<int>(build.sink.build_width) + computed++);
+      }
       build.desc += " -> hash build";
       plan_->pipelines.push_back(std::move(build));
       // Probe continues the current pipeline.
@@ -162,11 +259,10 @@ class Builder {
       VecOp op;
       op.kind = VecOp::Kind::kHashProbe;
       op.build = slot;
-      op.keys = join->left_keys;
-      op.residual = join->residual;
+      op.keys = FoldAll(join->left_keys);
+      op.residual = Fold(join->residual);
       op.join_type = join->join_type;
       op.build_width = join->right->output_types.size();
-      op.out_width = n->output_types.size();
       out->ops.push_back(std::move(op));
       out->desc += " -> hash probe";
       return true;
@@ -177,8 +273,14 @@ class Builder {
       int slot = plan_->num_inters++;
       p.sink.kind = VecSink::Kind::kAggregate;
       p.sink.target = slot;
-      p.sink.group_exprs = agg->group_exprs;
-      p.sink.aggs = agg->aggs;
+      p.sink.group_exprs = FoldAll(agg->group_exprs);
+      for (const engine::AggSpec& spec : agg->aggs) {
+        VecAgg a;
+        a.kind = ResolveAgg(spec.func);
+        a.arg = Fold(spec.arg);
+        a.distinct = spec.distinct;
+        p.sink.aggs.push_back(std::move(a));
+      }
       p.desc += " -> partial agg";
       plan_->pipelines.push_back(std::move(p));
       MaterializedSource(slot, n->output_types.size(), out);
@@ -259,6 +361,236 @@ class Builder {
 };
 
 // ---------------------------------------------------------------------------
+// Typed hash keys. Two key values are equal exactly when their
+// Datum::GroupKey() strings are (the executors' historical key encoding):
+// the same class and the same value. Classes: integer-like types (bool,
+// int4, int8, date, timestamp) compare their int64 payload, float8 its exact
+// bits (so -0.0 and 0.0 differ, and NaNs of one sign agree), text and jsonb
+// their text. NULL is a class of its own: NULL group keys form one group,
+// and join keys never reach the tables when NULL.
+
+enum class KeyClass : uint8_t { kNull, kInt, kFloat, kText, kJson };
+
+KeyClass ClassOf(sql::TypeId t) {
+  switch (t) {
+    case sql::TypeId::kNull:
+      return KeyClass::kNull;
+    case sql::TypeId::kFloat8:
+      return KeyClass::kFloat;
+    case sql::TypeId::kText:
+      return KeyClass::kText;
+    case sql::TypeId::kJsonb:
+      return KeyClass::kJson;
+    default:
+      return KeyClass::kInt;
+  }
+}
+
+uint64_t FloatBits(double d) {
+  if (std::isnan(d)) {
+    return std::signbit(d) ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL;
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+std::string JsonText(const sql::Datum& d) {
+  return d.json_value() != nullptr ? d.json_value()->ToString() : "null";
+}
+
+uint64_t KeyHash(const sql::Datum& d) {
+  KeyClass k = ClassOf(d.type());
+  uint64_t v = 0;
+  switch (k) {
+    case KeyClass::kNull:
+      break;
+    case KeyClass::kInt:
+      v = static_cast<uint64_t>(d.int_value());
+      break;
+    case KeyClass::kFloat:
+      v = FloatBits(d.float_value());
+      break;
+    case KeyClass::kText:
+      v = std::hash<std::string>{}(d.text_value());
+      break;
+    case KeyClass::kJson:
+      v = std::hash<std::string>{}(JsonText(d));
+      break;
+  }
+  return Mix64(v ^ static_cast<uint64_t>(k));
+}
+
+bool KeyEqual(const sql::Datum& a, const sql::Datum& b) {
+  KeyClass k = ClassOf(a.type());
+  if (k != ClassOf(b.type())) return false;
+  switch (k) {
+    case KeyClass::kNull:
+      return true;
+    case KeyClass::kInt:
+      return a.int_value() == b.int_value();
+    case KeyClass::kFloat:
+      return FloatBits(a.float_value()) == FloatBits(b.float_value());
+    case KeyClass::kText:
+      return a.text_value() == b.text_value();
+    case KeyClass::kJson:
+      return JsonText(a) == JsonText(b);
+  }
+  return false;
+}
+
+uint64_t TupleHash(const std::vector<const sql::Datum*>& keys) {
+  uint64_t h = 0;
+  for (const sql::Datum* k : keys) h = Mix64(h ^ KeyHash(*k));
+  return h;
+}
+
+/// Distinct key tuples in first-seen order, stored column-major, with an
+/// open-addressing (linear probing) index over their hashes. Groups
+/// aggregation and DISTINCT.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t width) : keys_(width) {}
+
+  size_t size() const { return hashes_.size(); }
+  const sql::Datum& Key(size_t g, size_t j) const { return keys_[j][g]; }
+  uint64_t Hash(size_t g) const { return hashes_[g]; }
+  /// The key columns, one entry per group; moved out by the owner.
+  std::vector<std::vector<sql::Datum>>& keys() { return keys_; }
+
+  /// The group of `keys` (hash `h`), added with a copy of the keys when
+  /// new (`*added` then set).
+  size_t FindOrAdd(const std::vector<const sql::Datum*>& keys, uint64_t h,
+                   bool* added) {
+    if ((size() + 1) * 2 > slots_.size()) Grow();
+    size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      uint32_t s = slots_[i];
+      if (s == 0) {
+        slots_[i] = static_cast<uint32_t>(size() + 1);
+        hashes_.push_back(h);
+        for (size_t j = 0; j < keys_.size(); j++) keys_[j].push_back(*keys[j]);
+        *added = true;
+        return size() - 1;
+      }
+      size_t g = s - 1;
+      if (hashes_[g] == h && Equal(g, keys)) {
+        *added = false;
+        return g;
+      }
+    }
+  }
+
+ private:
+  bool Equal(size_t g, const std::vector<const sql::Datum*>& keys) const {
+    for (size_t j = 0; j < keys_.size(); j++) {
+      if (!KeyEqual(keys_[j][g], *keys[j])) return false;
+    }
+    return true;
+  }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
+    size_t mask = slots_.size() - 1;
+    for (size_t g = 0; g < size(); g++) {
+      size_t i = hashes_[g] & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<uint32_t>(g + 1);
+    }
+  }
+
+  std::vector<std::vector<sql::Datum>> keys_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> slots_;  // 0 = empty, else group index + 1
+};
+
+/// Hash-join build side: the build rows column-major in one segment per
+/// morsel worker (worker order), and a chained hash index over them whose
+/// chains list rows in insertion order, so a key's matches come out in the
+/// order the build pipeline produced them. Rows with a NULL key are never
+/// stored.
+class JoinTable {
+ public:
+  struct Segment {
+    ColumnStore rows;  // build columns, then computed-key columns
+    std::vector<uint64_t> hashes;
+  };
+
+  Status Build(std::vector<Segment> segments, std::vector<int> key_cols) {
+    segments_.clear();
+    seg_begin_.clear();
+    key_cols_ = std::move(key_cols);
+    size_t total = 0;
+    for (Segment& s : segments) {
+      if (s.rows.rows == 0) continue;
+      seg_begin_.push_back(total);
+      total += static_cast<size_t>(s.rows.rows);
+      hashes_.insert(hashes_.end(), s.hashes.begin(), s.hashes.end());
+      segments_.push_back(std::move(s.rows));
+    }
+    if (total >= kNone) {
+      return Status::NotSupported("hash join build side too large");
+    }
+    size_t buckets = 1;
+    while (buckets < total) buckets <<= 1;
+    mask_ = buckets - 1;
+    heads_.assign(buckets, kNone);
+    next_.assign(total, kNone);
+    // Head insertion from the last row back keeps every chain in row order.
+    for (size_t g = total; g-- > 0;) {
+      uint32_t& head = heads_[hashes_[g] & mask_];
+      next_[g] = head;
+      head = static_cast<uint32_t>(g);
+    }
+    return Status::OK();
+  }
+
+  int64_t size() const { return static_cast<int64_t>(hashes_.size()); }
+  const ColumnStore& segment(size_t s) const { return segments_[s]; }
+  /// True when build column `c` is skipped in every segment.
+  bool ColumnSkipped(size_t c) const {
+    for (const ColumnStore& seg : segments_) {
+      if (seg.Column(c) != nullptr) return false;
+    }
+    return true;
+  }
+
+  /// Calls fn(segment, row) for every stored row whose key equals `keys`
+  /// (hash `h`), in insertion order; stops at the first error.
+  template <typename Fn>
+  Status ForEachMatch(const std::vector<const sql::Datum*>& keys, uint64_t h,
+                      Fn&& fn) const {
+    if (heads_.empty()) return Status::OK();
+    for (uint32_t g = heads_[h & mask_]; g != kNone; g = next_[g]) {
+      if (hashes_[g] != h) continue;
+      size_t s = 0;
+      while (s + 1 < seg_begin_.size() && g >= seg_begin_[s + 1]) s++;
+      size_t r = g - seg_begin_[s];
+      const ColumnStore& seg = segments_[s];
+      bool equal = true;
+      for (size_t j = 0; j < keys.size() && equal; j++) {
+        const std::vector<sql::Datum>* col =
+            seg.Column(static_cast<size_t>(key_cols_[j]));
+        equal = col != nullptr && KeyEqual(*keys[j], (*col)[r]);
+      }
+      if (equal) CITUSX_RETURN_IF_ERROR(fn(s, r));
+    }
+    return Status::OK();
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  std::vector<ColumnStore> segments_;
+  std::vector<size_t> seg_begin_;  // first global row of each segment
+  std::vector<int> key_cols_;
+  std::vector<uint64_t> hashes_;   // per global row
+  std::vector<uint32_t> heads_;    // bucket -> first global row
+  std::vector<uint32_t> next_;     // global row -> next in its chain
+  size_t mask_ = 0;
+};
+
+// ---------------------------------------------------------------------------
 // Aggregation state, mirroring the volcano executor's semantics exactly
 // (sum/avg track int and float sums, aggregates skip NULLs, min/max via
 // Datum::Compare). Partial states merge across morsel workers; DISTINCT
@@ -275,41 +607,41 @@ struct AggState {
   std::map<std::string, sql::Datum> distinct_vals;  // key -> value
 };
 
-void AggTransition(const engine::AggSpec& spec, const sql::Datum& v,
-                   AggState* st) {
-  if (spec.func == "count") {
+void AggTransition(AggKind kind, const sql::Datum& v, AggState* st) {
+  if (kind == AggKind::kCount) {
     st->count++;
     return;
   }
   st->any = true;
-  if (spec.func == "sum" || spec.func == "avg") {
-    st->count++;
-    if (v.type() == sql::TypeId::kFloat8) {
-      st->sum_is_float = true;
-      st->sum_f += v.float_value();
-    } else {
-      st->sum_i += v.AsInt64();
-      st->sum_f += static_cast<double>(v.AsInt64());
-    }
-    return;
-  }
-  if (spec.func == "min") {
-    if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) < 0) {
-      st->min_max = v;
-    }
-    return;
-  }
-  if (spec.func == "max") {
-    if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) > 0) {
-      st->min_max = v;
-    }
-    return;
+  switch (kind) {
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      st->count++;
+      if (v.type() == sql::TypeId::kFloat8) {
+        st->sum_is_float = true;
+        st->sum_f += v.float_value();
+      } else {
+        st->sum_i += v.AsInt64();
+        st->sum_f += static_cast<double>(v.AsInt64());
+      }
+      return;
+    case AggKind::kMin:
+      if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) < 0) {
+        st->min_max = v;
+      }
+      return;
+    case AggKind::kMax:
+      if (st->min_max.is_null() || sql::Datum::Compare(v, st->min_max) > 0) {
+        st->min_max = v;
+      }
+      return;
+    default:
+      return;
   }
 }
 
-void MergeAggState(const engine::AggSpec& spec, const AggState& in,
-                   AggState* out) {
-  if (spec.distinct) {
+void MergeAggState(const VecAgg& agg, const AggState& in, AggState* out) {
+  if (agg.distinct) {
     for (const auto& [k, v] : in.distinct_vals) {
       out->distinct_vals.emplace(k, v);
     }
@@ -322,36 +654,37 @@ void MergeAggState(const engine::AggSpec& spec, const AggState& in,
   out->any |= in.any;
   if (!in.min_max.is_null()) {
     if (out->min_max.is_null() ||
-        (spec.func == "min" &&
+        (agg.kind == AggKind::kMin &&
          sql::Datum::Compare(in.min_max, out->min_max) < 0) ||
-        (spec.func == "max" &&
+        (agg.kind == AggKind::kMax &&
          sql::Datum::Compare(in.min_max, out->min_max) > 0)) {
       out->min_max = in.min_max;
     }
   }
 }
 
-sql::Datum AggFinal(const engine::AggSpec& spec, const AggState& st) {
-  if (spec.func == "count") return sql::Datum::Int8(st.count);
-  if (spec.func == "sum") {
-    if (!st.any) return sql::Datum::Null();
-    return st.sum_is_float ? sql::Datum::Float8(st.sum_f)
-                           : sql::Datum::Int8(st.sum_i);
+sql::Datum AggFinal(AggKind kind, const AggState& st) {
+  switch (kind) {
+    case AggKind::kCount:
+      return sql::Datum::Int8(st.count);
+    case AggKind::kSum:
+      if (!st.any) return sql::Datum::Null();
+      return st.sum_is_float ? sql::Datum::Float8(st.sum_f)
+                             : sql::Datum::Int8(st.sum_i);
+    case AggKind::kAvg:
+      if (st.count == 0) return sql::Datum::Null();
+      return sql::Datum::Float8(st.sum_f / static_cast<double>(st.count));
+    default:
+      return st.min_max;  // min/max; NULL when no input
   }
-  if (spec.func == "avg") {
-    if (st.count == 0) return sql::Datum::Null();
-    return sql::Datum::Float8(st.sum_f / static_cast<double>(st.count));
-  }
-  return st.min_max;  // min/max; NULL when no input
 }
 
-struct AggGroup {
-  sql::Row keys;
+/// One worker's partial aggregation: its groups and their states
+/// (group-major, one state per aggregate).
+struct AggBuffer {
+  GroupTable groups{0};
   std::vector<AggState> states;
 };
-using AggGroups = std::map<std::string, AggGroup>;
-
-using HashTable = std::unordered_map<std::string, std::vector<sql::Row>>;
 
 // ---------------------------------------------------------------------------
 // Runtime state shared by the coordinating process and the morsel workers.
@@ -365,20 +698,18 @@ struct MorselTask {
 };
 
 struct PipelineRun {
-  const VecPlan* plan = nullptr;
   const Pipeline* pipe = nullptr;
-  std::vector<std::vector<sql::Row>>* inters = nullptr;
-  std::vector<HashTable>* hash_tables = nullptr;
+  std::vector<ColumnStore>* inters = nullptr;
+  std::vector<JoinTable>* hash_tables = nullptr;
 
   std::vector<MorselTask> morsels;
   size_t next_morsel = 0;
   int64_t pruned_stripes = 0;
 
   // Per-worker partial sinks, merged in worker order by the coordinator.
-  std::vector<std::vector<sql::Row>> local_rows;
-  std::vector<HashTable> local_tables;
-  std::vector<AggGroups> local_groups;
-  std::vector<int64_t> local_source_rows;
+  std::vector<ColumnStore> local_rows;
+  std::vector<JoinTable::Segment> local_builds;
+  std::vector<AggBuffer> local_groups;
 
   bool abort = false;
   Status error;  // first error wins
@@ -395,22 +726,28 @@ struct PipelineRun {
   }
 };
 
-/// Writes the join key of `row` into `*out` (reusing its buffer); empty
-/// when any key column is NULL.
-Status RowKeyOf(ExecContext& ctx, const std::vector<ExprPtr>& keys,
-                const sql::Row& row, std::string* out) {
-  out->clear();
-  auto ec = ctx.EvalCtx(&row);
-  for (const auto& k : keys) {
-    CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*k, ec));
-    if (v.is_null()) {  // NULL keys never join
-      out->clear();
-      return Status::OK();
-    }
-    *out += v.GroupKey();
-    out->push_back('\x1f');
+/// An evaluation context over `cols` (a chunk's column pointers).
+sql::EvalContext ColumnEvalCtx(
+    const ExecContext& ctx,
+    const std::vector<const std::vector<sql::Datum>*>* cols) {
+  sql::EvalContext ec = ctx.EvalCtx(nullptr);
+  ec.columns = cols;
+  return ec;
+}
+
+/// Evaluates join `keys` at the context's row into `*out` (values in place
+/// where possible, else in `scratch`). Returns false at the first NULL key:
+/// NULL keys never join, and the keys after it are not evaluated.
+Result<bool> EvalJoinKeys(const std::vector<ExprPtr>& keys,
+                          const sql::EvalContext& ec,
+                          std::vector<sql::Datum>* scratch,
+                          std::vector<const sql::Datum*>* out) {
+  for (size_t j = 0; j < keys.size(); j++) {
+    CITUSX_ASSIGN_OR_RETURN((*out)[j],
+                            sql::EvalRef(*keys[j], ec, &(*scratch)[j]));
+    if ((*out)[j]->is_null()) return false;
   }
-  return Status::OK();
+  return true;
 }
 
 // ---- min/max stripe pruning ------------------------------------------------
@@ -538,29 +875,43 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
       for (auto& c : cols) chunk->columns.push_back(ColumnRef::Owned(std::move(c)));
       return Status::OK();
     }
-    case VecSource::Kind::kTemp:
-    case VecSource::Kind::kMaterialized: {
-      const std::vector<sql::Row>* rows =
-          src.kind == VecSource::Kind::kTemp
-              ? &src.temp->rows
-              : &(*run.inters)[static_cast<size_t>(src.inter)];
+    case VecSource::Kind::kTemp: {
       if (!ctx.ChargeCpu((m.end - m.begin) * ctx.cost->vec_per_row_scan)
                .ok()) {
         *cancelled = true;
         return Status::OK();
       }
-      size_t width = src.width;
-      std::vector<std::vector<sql::Datum>> cols(width);
+      const std::vector<sql::Row>& rows = src.temp->rows;
+      std::vector<std::vector<sql::Datum>> cols(src.width);
       for (auto& c : cols) c.reserve(static_cast<size_t>(m.end - m.begin));
       for (int64_t r = m.begin; r < m.end; r++) {
-        const sql::Row& row = (*rows)[static_cast<size_t>(r)];
-        for (size_t c = 0; c < width && c < row.size(); c++) {
+        const sql::Row& row = rows[static_cast<size_t>(r)];
+        for (size_t c = 0; c < src.width && c < row.size(); c++) {
           cols[c].push_back(row[c]);
         }
       }
       chunk->rows = m.end - m.begin;
       chunk->columns.clear();
       for (auto& c : cols) chunk->columns.push_back(ColumnRef::Owned(std::move(c)));
+      return Status::OK();
+    }
+    case VecSource::Kind::kMaterialized: {
+      if (!ctx.ChargeCpu((m.end - m.begin) * ctx.cost->vec_per_row_scan)
+               .ok()) {
+        *cancelled = true;
+        return Status::OK();
+      }
+      // Zero-copy: the morsel selects its row range of the intermediate.
+      const ColumnStore& store = (*run.inters)[static_cast<size_t>(src.inter)];
+      chunk->rows = store.rows;
+      chunk->columns.clear();
+      for (size_t c = 0; c < src.width; c++) {
+        chunk->columns.push_back(ColumnRef::Borrowed(
+            c < store.width() ? store.Column(c) : nullptr));
+      }
+      chunk->filtered = true;
+      chunk->sel.resize(static_cast<size_t>(m.end - m.begin));
+      std::iota(chunk->sel.begin(), chunk->sel.end(), m.begin);
       return Status::OK();
     }
   }
@@ -577,24 +928,27 @@ Status FilterChunk(ExecContext& ctx, const ExprPtr& pred, DataChunk* chunk,
     *cancelled = true;
     return Status::OK();
   }
+  auto cols = chunk->ColumnPointers();
+  sql::EvalContext ec = ColumnEvalCtx(ctx, &cols);
   std::vector<int64_t> sel;
   sel.reserve(static_cast<size_t>(n));
-  sql::Row scratch;
   for (int64_t i = 0; i < n; i++) {
-    chunk->GatherRow(i, &scratch);
-    auto ec = ctx.EvalCtx(&scratch);
+    int64_t r = chunk->At(i);
+    ec.index = static_cast<size_t>(r);
     CITUSX_ASSIGN_OR_RETURN(bool keep, sql::EvalPredicate(*pred, ec));
-    if (keep) sel.push_back(chunk->At(i));
+    if (keep) sel.push_back(r);
   }
   chunk->filtered = true;
   chunk->sel = std::move(sel);
   return Status::OK();
 }
 
-/// Evaluate projection expressions into fresh owned columns.
-Status ProjectChunk(ExecContext& ctx, const std::vector<ExprPtr>& exprs,
-                    DataChunk* chunk, bool* cancelled) {
+/// Evaluate projection expressions into fresh owned columns; a projection
+/// of plain column references reuses the input columns instead.
+Status ProjectChunk(ExecContext& ctx, const VecOp& op, DataChunk* chunk,
+                    bool* cancelled) {
   *cancelled = false;
+  const std::vector<ExprPtr>& exprs = op.exprs;
   int64_t n = chunk->Count();
   if (!ctx.ChargeCpu(n * static_cast<int64_t>(exprs.size()) *
                      ctx.cost->vec_per_expr_eval)
@@ -602,15 +956,30 @@ Status ProjectChunk(ExecContext& ctx, const std::vector<ExprPtr>& exprs,
     *cancelled = true;
     return Status::OK();
   }
+  bool passthrough = !op.passthrough.empty();
+  for (int slot : op.passthrough) {
+    passthrough &= static_cast<size_t>(slot) < chunk->columns.size();
+  }
+  if (passthrough) {
+    std::vector<ColumnRef> cols;
+    cols.reserve(op.passthrough.size());
+    for (int slot : op.passthrough) {
+      cols.push_back(chunk->columns[static_cast<size_t>(slot)]);
+    }
+    chunk->columns = std::move(cols);
+    return Status::OK();
+  }
+  auto in = chunk->ColumnPointers();
+  sql::EvalContext ec = ColumnEvalCtx(ctx, &in);
   std::vector<std::vector<sql::Datum>> cols(exprs.size());
   for (auto& c : cols) c.reserve(static_cast<size_t>(n));
-  sql::Row scratch;
+  sql::Datum scratch;
   for (int64_t i = 0; i < n; i++) {
-    chunk->GatherRow(i, &scratch);
-    auto ec = ctx.EvalCtx(&scratch);
+    ec.index = static_cast<size_t>(chunk->At(i));
     for (size_t e = 0; e < exprs.size(); e++) {
-      CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*exprs[e], ec));
-      cols[e].push_back(std::move(v));
+      CITUSX_ASSIGN_OR_RETURN(const sql::Datum* v,
+                              sql::EvalRef(*exprs[e], ec, &scratch));
+      cols[e].push_back(v == &scratch ? std::move(scratch) : *v);
     }
   }
   DataChunk out;
@@ -621,7 +990,7 @@ Status ProjectChunk(ExecContext& ctx, const std::vector<ExprPtr>& exprs,
 }
 
 /// Probe a built hash table; emits combined rows into fresh owned columns.
-Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
+Status ProbeChunk(ExecContext& ctx, const VecOp& op, const JoinTable& table,
                   DataChunk* chunk, bool* cancelled) {
   *cancelled = false;
   int64_t n = chunk->Count();
@@ -629,47 +998,88 @@ Status ProbeChunk(ExecContext& ctx, const VecOp& op, const HashTable& table,
     *cancelled = true;
     return Status::OK();
   }
-  size_t left_width = chunk->columns.size();
-  size_t out_width = left_width + op.build_width;
-  std::vector<std::vector<sql::Datum>> cols(out_width);
-  for (auto& c : cols) c.reserve(static_cast<size_t>(n));
-  sql::Row scratch;
-  std::string key;
-  auto emit = [&](const sql::Row& left, const sql::Row* right) {
-    for (size_t c = 0; c < left_width; c++) cols[c].push_back(left[c]);
-    for (size_t c = 0; c < op.build_width; c++) {
-      cols[left_width + c].push_back(right == nullptr ? sql::Datum::Null()
-                                                      : (*right)[c]);
-    }
+  constexpr uint32_t kUnmatched = UINT32_MAX;
+  struct Match {
+    int64_t left;    // physical row of the probe chunk
+    uint32_t seg;    // build segment, or kUnmatched (LEFT join padding)
+    uint32_t row;    // row within the segment
   };
+  std::vector<Match> matches;
+  matches.reserve(static_cast<size_t>(n));
+  auto in = chunk->ColumnPointers();
+  sql::EvalContext ec = ColumnEvalCtx(ctx, &in);
+  std::vector<sql::Datum> key_scratch(op.keys.size());
+  std::vector<const sql::Datum*> keys(op.keys.size());
+  size_t left_width = chunk->columns.size();
+  sql::Row combined;  // join residual input: left row ++ build row
   for (int64_t i = 0; i < n; i++) {
-    chunk->GatherRow(i, &scratch);
-    CITUSX_RETURN_IF_ERROR(RowKeyOf(ctx, op.keys, scratch, &key));
+    int64_t r = chunk->At(i);
+    ec.index = static_cast<size_t>(r);
+    CITUSX_ASSIGN_OR_RETURN(bool joinable,
+                            EvalJoinKeys(op.keys, ec, &key_scratch, &keys));
     bool matched = false;
-    if (!key.empty()) {
-      auto it = table.find(key);
-      if (it != table.end()) {
-        for (const sql::Row& rrow : it->second) {
-          if (op.residual != nullptr) {
-            sql::Row combined = scratch;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            auto ec = ctx.EvalCtx(&combined);
-            CITUSX_ASSIGN_OR_RETURN(bool keep,
-                                    sql::EvalPredicate(*op.residual, ec));
-            if (!keep) continue;
-          }
-          matched = true;
-          emit(scratch, &rrow);
-        }
-      }
+    if (joinable) {
+      bool left_gathered = false;
+      CITUSX_RETURN_IF_ERROR(table.ForEachMatch(
+          keys, TupleHash(keys), [&](size_t s, size_t row) -> Status {
+            if (op.residual != nullptr) {
+              if (!left_gathered) {
+                chunk->GatherRow(i, &combined);
+                combined.resize(left_width + op.build_width);
+                left_gathered = true;
+              }
+              const ColumnStore& seg = table.segment(s);
+              for (size_t c = 0; c < op.build_width; c++) {
+                const std::vector<sql::Datum>* col = seg.Column(c);
+                combined[left_width + c] =
+                    col == nullptr ? sql::Datum::Null() : (*col)[row];
+              }
+              auto rec = ctx.EvalCtx(&combined);
+              CITUSX_ASSIGN_OR_RETURN(bool keep,
+                                      sql::EvalPredicate(*op.residual, rec));
+              if (!keep) return Status::OK();
+            }
+            matched = true;
+            matches.push_back({r, static_cast<uint32_t>(s),
+                               static_cast<uint32_t>(row)});
+            return Status::OK();
+          }));
     }
     if (!matched && op.join_type == sql::JoinType::kLeft) {
-      emit(scratch, nullptr);
+      matches.push_back({r, kUnmatched, 0});
     }
   }
+  // Materialize the output columns; a column skipped on either side stays
+  // skipped (reads as NULL).
   DataChunk out;
-  out.rows = cols.empty() ? 0 : static_cast<int64_t>(cols[0].size());
-  for (auto& c : cols) out.columns.push_back(ColumnRef::Owned(std::move(c)));
+  out.rows = static_cast<int64_t>(matches.size());
+  for (size_t c = 0; c < left_width; c++) {
+    const std::vector<sql::Datum>* src = in[c];
+    if (src == nullptr) {
+      out.columns.emplace_back();
+      continue;
+    }
+    std::vector<sql::Datum> col;
+    col.reserve(matches.size());
+    for (const Match& m : matches) {
+      col.push_back((*src)[static_cast<size_t>(m.left)]);
+    }
+    out.columns.push_back(ColumnRef::Owned(std::move(col)));
+  }
+  for (size_t c = 0; c < op.build_width; c++) {
+    if (table.ColumnSkipped(c)) {
+      out.columns.emplace_back();
+      continue;
+    }
+    std::vector<sql::Datum> col;
+    col.reserve(matches.size());
+    for (const Match& m : matches) {
+      const std::vector<sql::Datum>* src =
+          m.seg == kUnmatched ? nullptr : table.segment(m.seg).Column(c);
+      col.push_back(src == nullptr ? sql::Datum::Null() : (*src)[m.row]);
+    }
+    out.columns.push_back(ColumnRef::Owned(std::move(col)));
+  }
   *chunk = std::move(out);
   return Status::OK();
 }
@@ -680,10 +1090,11 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
   *cancelled = false;
   int64_t n = chunk.Count();
   const VecSink& sink = run.pipe->sink;
+  auto cols = chunk.ColumnPointers();
+  sql::EvalContext ec = ColumnEvalCtx(ctx, &cols);
   switch (sink.kind) {
     case VecSink::Kind::kCollect: {
-      auto& rows = run.local_rows[static_cast<size_t>(worker)];
-      for (int64_t i = 0; i < n; i++) chunk.GatherRow(i, &rows.emplace_back());
+      run.local_rows[static_cast<size_t>(worker)].Append(chunk);
       return Status::OK();
     }
     case VecSink::Kind::kHashBuild: {
@@ -691,14 +1102,45 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
         *cancelled = true;
         return Status::OK();
       }
-      auto& table = run.local_tables[static_cast<size_t>(worker)];
-      std::string key;
-      for (int64_t i = 0; i < n; i++) {
-        sql::Row row;
-        chunk.GatherRow(i, &row);
-        CITUSX_RETURN_IF_ERROR(RowKeyOf(ctx, sink.keys, row, &key));
-        if (!key.empty()) table[key].push_back(std::move(row));
+      if (n == 0) return Status::OK();
+      if (chunk.columns.size() != sink.build_width) {
+        return Status::Internal("hash build input width does not match plan");
       }
+      JoinTable::Segment& seg = run.local_builds[static_cast<size_t>(worker)];
+      // Computed keys get columns of their own, indexed like the chunk's.
+      size_t computed = 0;
+      for (int k : sink.key_cols) {
+        computed += static_cast<size_t>(k) >= sink.build_width;
+      }
+      std::vector<std::vector<sql::Datum>> computed_cols(
+          computed, std::vector<sql::Datum>(static_cast<size_t>(chunk.rows)));
+      std::vector<sql::Datum> key_scratch(sink.keys.size());
+      std::vector<const sql::Datum*> keys(sink.keys.size());
+      // Rows with a NULL key never join: only the others are kept.
+      DataChunk kept;
+      kept.rows = chunk.rows;
+      kept.columns = chunk.columns;
+      kept.filtered = true;
+      for (int64_t i = 0; i < n; i++) {
+        int64_t r = chunk.At(i);
+        ec.index = static_cast<size_t>(r);
+        CITUSX_ASSIGN_OR_RETURN(
+            bool joinable, EvalJoinKeys(sink.keys, ec, &key_scratch, &keys));
+        if (!joinable) continue;
+        kept.sel.push_back(r);
+        seg.hashes.push_back(TupleHash(keys));
+        for (size_t j = 0; j < keys.size(); j++) {
+          size_t kc = static_cast<size_t>(sink.key_cols[j]);
+          if (kc >= sink.build_width) {
+            computed_cols[kc - sink.build_width][static_cast<size_t>(r)] =
+                *keys[j];
+          }
+        }
+      }
+      for (auto& c : computed_cols) {
+        kept.columns.push_back(ColumnRef::Owned(std::move(c)));
+      }
+      seg.rows.Append(kept);
       return Status::OK();
     }
     case VecSink::Kind::kAggregate: {
@@ -706,41 +1148,36 @@ Status SinkChunk(ExecContext& ctx, PipelineRun& run, int worker,
         *cancelled = true;
         return Status::OK();
       }
-      auto& groups = run.local_groups[static_cast<size_t>(worker)];
-      sql::Row scratch;
-      std::string key;
-      sql::Row key_vals;
+      AggBuffer& buf = run.local_groups[static_cast<size_t>(worker)];
+      size_t naggs = sink.aggs.size();
+      std::vector<sql::Datum> key_scratch(sink.group_exprs.size());
+      std::vector<const sql::Datum*> keys(sink.group_exprs.size());
+      sql::Datum arg_scratch;
       for (int64_t i = 0; i < n; i++) {
-        chunk.GatherRow(i, &scratch);
-        auto ec = ctx.EvalCtx(&scratch);
-        key.clear();
-        key_vals.clear();
-        for (const auto& g : sink.group_exprs) {
-          CITUSX_ASSIGN_OR_RETURN(sql::Datum v, sql::Eval(*g, ec));
-          key += v.GroupKey();
-          key.push_back('\x1f');
-          key_vals.push_back(std::move(v));
+        ec.index = static_cast<size_t>(chunk.At(i));
+        for (size_t j = 0; j < keys.size(); j++) {
+          CITUSX_ASSIGN_OR_RETURN(
+              keys[j], sql::EvalRef(*sink.group_exprs[j], ec, &key_scratch[j]));
         }
-        auto [it, added] = groups.try_emplace(key);
-        if (added) {
-          it->second.keys = key_vals;
-          it->second.states.resize(sink.aggs.size());
-        }
-        for (size_t a = 0; a < sink.aggs.size(); a++) {
-          const engine::AggSpec& spec = sink.aggs[a];
-          sql::Datum v;
-          if (spec.arg != nullptr) {
-            CITUSX_ASSIGN_OR_RETURN(v, sql::Eval(*spec.arg, ec));
-            if (v.is_null()) continue;  // aggregates skip NULLs
+        bool added = false;
+        size_t g = buf.groups.FindOrAdd(keys, TupleHash(keys), &added);
+        if (added) buf.states.resize(buf.groups.size() * naggs);
+        for (size_t a = 0; a < naggs; a++) {
+          const VecAgg& agg = sink.aggs[a];
+          const sql::Datum* v = &kNullDatum;
+          if (agg.arg != nullptr) {
+            CITUSX_ASSIGN_OR_RETURN(v,
+                                    sql::EvalRef(*agg.arg, ec, &arg_scratch));
+            if (v->is_null()) continue;  // aggregates skip NULLs
           }
-          AggState& st = it->second.states[a];
-          if (spec.distinct && spec.arg != nullptr) {
+          AggState& st = buf.states[g * naggs + a];
+          if (agg.distinct && agg.arg != nullptr) {
             // Collect values only; folded at merge so workers cannot
             // double-count a value seen in several morsels.
-            st.distinct_vals.emplace(v.GroupKey(), v);
+            st.distinct_vals.emplace(v->GroupKey(), *v);
             continue;
           }
-          AggTransition(spec, v, &st);
+          AggTransition(agg.kind, *v, &st);
         }
       }
       return Status::OK();
@@ -773,7 +1210,6 @@ void MorselWorker(std::shared_ptr<PipelineRun> run, int worker,
     DataChunk chunk;
     status = ReadMorsel(ctx, *run, m, &chunk, &cancelled);
     if (!status.ok() || cancelled) break;
-    run->local_source_rows[static_cast<size_t>(worker)] += chunk.rows;
     if (run->pipe->source.filter != nullptr) {
       status = FilterChunk(ctx, run->pipe->source.filter, &chunk, &cancelled);
       if (!status.ok() || cancelled) break;
@@ -784,7 +1220,7 @@ void MorselWorker(std::shared_ptr<PipelineRun> run, int worker,
           status = FilterChunk(ctx, op.predicate, &chunk, &cancelled);
           break;
         case VecOp::Kind::kProject:
-          status = ProjectChunk(ctx, op.exprs, &chunk, &cancelled);
+          status = ProjectChunk(ctx, op, &chunk, &cancelled);
           break;
         case VecOp::Kind::kHashProbe:
           status = ProbeChunk(
@@ -812,70 +1248,174 @@ void MorselWorker(std::shared_ptr<PipelineRun> run, int worker,
 
 // ---- sequential post ops ---------------------------------------------------
 
-Status ApplyPost(ExecContext& ctx, const PostOp& post,
-                 std::vector<sql::Row>* rows) {
+/// Pointers to row `r`'s values (skipped columns read as NULL).
+void RowPointers(const ColumnStore& rows, size_t r,
+                 std::vector<const sql::Datum*>* out) {
+  out->resize(rows.width());
+  for (size_t c = 0; c < rows.width(); c++) {
+    const std::vector<sql::Datum>* col = rows.Column(c);
+    (*out)[c] = col == nullptr ? &kNullDatum : &(*col)[r];
+  }
+}
+
+/// A store holding `columns` (one entry per row) with none skipped.
+ColumnStore DenseStore(std::vector<std::vector<sql::Datum>> columns,
+                       int64_t rows) {
+  ColumnStore out(columns.size());
+  out.columns = std::move(columns);
+  out.skipped.assign(out.columns.size(), false);
+  out.rows = rows;
+  return out;
+}
+
+Status ApplyPost(ExecContext& ctx, const PostOp& post, ColumnStore* rows) {
+  size_t n = static_cast<size_t>(rows->rows);
   switch (post.kind) {
     case PostOp::Kind::kSort: {
-      CITUSX_RETURN_IF_ERROR(ctx.ChargeCpu(
-          static_cast<int64_t>(rows->size()) * ctx.cost->vec_per_row_sort));
-      std::stable_sort(rows->begin(), rows->end(),
-                       [&post](const sql::Row& a, const sql::Row& b) {
-                         for (size_t i = 0; i < post.sort_slots.size(); i++) {
-                           size_t s =
-                               static_cast<size_t>(post.sort_slots[i]);
-                           int c = sql::Datum::Compare(a[s], b[s]);
-                           if (c != 0) return post.desc[i] ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
+      CITUSX_RETURN_IF_ERROR(
+          ctx.ChargeCpu(rows->rows * ctx.cost->vec_per_row_sort));
+      std::vector<const std::vector<sql::Datum>*> keys;
+      for (int s : post.sort_slots) {
+        keys.push_back(static_cast<size_t>(s) < rows->width()
+                           ? rows->Column(static_cast<size_t>(s))
+                           : nullptr);
+      }
+      // A stable sort of row indexes orders rows exactly as a stable sort
+      // of the rows themselves.
+      std::vector<size_t> perm(n);
+      std::iota(perm.begin(), perm.end(), 0);
+      std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
+        for (size_t i = 0; i < keys.size(); i++) {
+          if (keys[i] == nullptr) continue;  // all NULL: ties
+          int c = sql::Datum::Compare((*keys[i])[a], (*keys[i])[b]);
+          if (c != 0) return post.desc[i] ? c > 0 : c < 0;
+        }
+        return false;
+      });
+      for (size_t c = 0; c < rows->width(); c++) {
+        if (rows->skipped[c]) continue;
+        std::vector<sql::Datum>& col = rows->columns[c];
+        std::vector<sql::Datum> sorted;
+        sorted.reserve(n);
+        for (size_t r : perm) sorted.push_back(std::move(col[r]));
+        col = std::move(sorted);
+      }
       return Status::OK();
     }
     case PostOp::Kind::kLimit: {
-      int64_t begin = std::min<int64_t>(post.offset,
-                                        static_cast<int64_t>(rows->size()));
+      int64_t begin = std::min<int64_t>(post.offset, rows->rows);
       int64_t end = post.limit < 0
-                        ? static_cast<int64_t>(rows->size())
-                        : std::min<int64_t>(begin + post.limit,
-                                            static_cast<int64_t>(rows->size()));
-      std::vector<sql::Row> out(rows->begin() + begin, rows->begin() + end);
-      *rows = std::move(out);
+                        ? rows->rows
+                        : std::min<int64_t>(begin + post.limit, rows->rows);
+      for (size_t c = 0; c < rows->width(); c++) {
+        if (rows->skipped[c]) continue;
+        std::vector<sql::Datum>& col = rows->columns[c];
+        col.erase(col.begin() + end, col.end());
+        col.erase(col.begin(), col.begin() + begin);
+      }
+      rows->rows = end - begin;
       return Status::OK();
     }
     case PostOp::Kind::kDistinct: {
-      CITUSX_RETURN_IF_ERROR(ctx.ChargeCpu(
-          static_cast<int64_t>(rows->size()) * ctx.cost->vec_per_row_hash));
-      std::set<std::string> seen;
-      std::vector<sql::Row> out;
-      for (auto& row : *rows) {
-        std::string key;
-        for (const auto& d : row) {
-          key += d.GroupKey();
-          key.push_back('\x1f');
-        }
-        if (seen.insert(key).second) out.push_back(std::move(row));
+      CITUSX_RETURN_IF_ERROR(
+          ctx.ChargeCpu(rows->rows * ctx.cost->vec_per_row_hash));
+      // First occurrences, in order: the distinct rows are the table's keys.
+      GroupTable seen(rows->width());
+      std::vector<const sql::Datum*> row;
+      for (size_t r = 0; r < n; r++) {
+        RowPointers(*rows, r, &row);
+        bool added = false;
+        seen.FindOrAdd(row, TupleHash(row), &added);
       }
-      *rows = std::move(out);
+      int64_t distinct = static_cast<int64_t>(seen.size());
+      *rows = DenseStore(std::move(seen.keys()), distinct);
       return Status::OK();
     }
     case PostOp::Kind::kStrip: {
-      for (auto& row : *rows) row.resize(static_cast<size_t>(post.keep));
+      size_t keep = std::min(static_cast<size_t>(post.keep), rows->width());
+      rows->columns.resize(keep);
+      rows->skipped.resize(keep);
       return Status::OK();
     }
   }
   return Status::Internal("unreachable post op");
 }
 
+/// Merge the workers' partial aggregates (in worker order) and write one row
+/// per group, in GroupKey order, into `*out`.
+void FinishAggregate(const VecSink& sink, std::vector<AggBuffer>* locals,
+                     ColumnStore* out) {
+  size_t nkeys = sink.group_exprs.size();
+  size_t naggs = sink.aggs.size();
+  GroupTable merged(nkeys);
+  std::vector<AggState> states;
+  std::vector<const sql::Datum*> keys(nkeys);
+  for (AggBuffer& local : *locals) {
+    for (size_t g = 0; g < local.groups.size(); g++) {
+      for (size_t j = 0; j < nkeys; j++) keys[j] = &local.groups.Key(g, j);
+      bool added = false;
+      size_t mg = merged.FindOrAdd(keys, local.groups.Hash(g), &added);
+      if (added) states.resize(merged.size() * naggs);
+      for (size_t a = 0; a < naggs; a++) {
+        MergeAggState(sink.aggs[a], local.states[g * naggs + a],
+                      &states[mg * naggs + a]);
+      }
+    }
+    local = AggBuffer{};
+  }
+  size_t groups = merged.size();
+  std::vector<std::vector<sql::Datum>> cols(nkeys + naggs);
+  if (groups == 0 && nkeys == 0) {
+    // Aggregate over empty input: one row of "empty" aggregates.
+    for (size_t a = 0; a < naggs; a++) {
+      cols[a].push_back(AggFinal(sink.aggs[a].kind, AggState{}));
+    }
+    *out = DenseStore(std::move(cols), 1);
+    return;
+  }
+  // Groups come out in the order of their GroupKey() strings.
+  std::vector<std::string> order_keys(groups);
+  for (size_t g = 0; g < groups; g++) {
+    for (size_t j = 0; j < nkeys; j++) {
+      order_keys[g] += merged.Key(g, j).GroupKey();
+      order_keys[g].push_back('\x1f');
+    }
+  }
+  std::vector<size_t> order(groups);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return order_keys[a] < order_keys[b];
+  });
+  std::vector<std::vector<sql::Datum>>& key_cols = merged.keys();
+  for (auto& c : cols) c.reserve(groups);
+  for (size_t g : order) {
+    for (size_t j = 0; j < nkeys; j++) {
+      cols[j].push_back(std::move(key_cols[j][g]));
+    }
+    for (size_t a = 0; a < naggs; a++) {
+      AggState& st = states[g * naggs + a];
+      const VecAgg& agg = sink.aggs[a];
+      // Fold collected DISTINCT values now that duplicates are merged.
+      if (agg.distinct) {
+        for (const auto& [dk, dv] : st.distinct_vals) {
+          AggTransition(agg.kind, dv, &st);
+        }
+      }
+      cols[nkeys + a].push_back(AggFinal(agg.kind, st));
+    }
+  }
+  *out = DenseStore(std::move(cols), static_cast<int64_t>(groups));
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline driver.
 
-Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
-                   const Pipeline& pipe,
-                   std::vector<std::vector<sql::Row>>* inters,
-                   std::vector<HashTable>* hash_tables) {
+Status RunPipeline(engine::Node* node, ExecContext& ctx, const Pipeline& pipe,
+                   std::vector<ColumnStore>* inters,
+                   std::vector<JoinTable>* hash_tables) {
   CITUSX_RETURN_IF_ERROR(ctx.ChargeCpu(ctx.cost->vec_pipeline_startup));
 
   auto run = std::make_shared<PipelineRun>();
-  run->plan = &plan;
   run->pipe = &pipe;
   run->inters = inters;
   run->hash_tables = hash_tables;
@@ -891,7 +1431,8 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       for (int64_t s = 0; s < units; s++) {
         if (!col->StripeVisible(s, ctx.snapshot, *ctx.txns)) continue;
         const std::vector<storage::ColumnStats>* stats = col->StripeStats(s);
-        if (stats != nullptr && StripePrunable(pipe.source.filter, *stats)) {
+        if (stats != nullptr &&
+            StripePrunable(pipe.source.prune_filter, *stats)) {
           run->pruned_stripes++;
           continue;
         }
@@ -901,23 +1442,17 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       }
       break;
     }
-    case VecSource::Kind::kHeap: {
-      int64_t n =
-          static_cast<int64_t>(pipe.source.table->heap->num_rows());
-      for (int64_t b = 0; b < n; b += ctx.cost->vec_morsel_rows) {
-        MorselTask m;
-        m.begin = b;
-        m.end = std::min(n, b + ctx.cost->vec_morsel_rows);
-        run->morsels.push_back(m);
-      }
-      break;
-    }
+    case VecSource::Kind::kHeap:
     case VecSource::Kind::kTemp:
     case VecSource::Kind::kMaterialized: {
-      int64_t n = static_cast<int64_t>(
-          pipe.source.kind == VecSource::Kind::kTemp
-              ? pipe.source.temp->rows.size()
-              : (*inters)[static_cast<size_t>(pipe.source.inter)].size());
+      int64_t n = 0;
+      if (pipe.source.kind == VecSource::Kind::kHeap) {
+        n = static_cast<int64_t>(pipe.source.table->heap->num_rows());
+      } else if (pipe.source.kind == VecSource::Kind::kTemp) {
+        n = static_cast<int64_t>(pipe.source.temp->rows.size());
+      } else {
+        n = (*inters)[static_cast<size_t>(pipe.source.inter)].rows;
+      }
       for (int64_t b = 0; b < n; b += ctx.cost->vec_morsel_rows) {
         MorselTask m;
         m.begin = b;
@@ -932,9 +1467,10 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
       static_cast<size_t>(std::max(1, ctx.cost->cores_per_node)),
       std::max<size_t>(1, run->morsels.size())));
   run->local_rows.resize(static_cast<size_t>(workers));
-  run->local_tables.resize(static_cast<size_t>(workers));
-  run->local_groups.resize(static_cast<size_t>(workers));
-  run->local_source_rows.assign(static_cast<size_t>(workers), 0);
+  run->local_builds.resize(static_cast<size_t>(workers));
+  run->local_groups.resize(static_cast<size_t>(workers),
+                           AggBuffer{GroupTable(pipe.sink.group_exprs.size()),
+                                     {}});
 
   if (ctx.tracer != nullptr) {
     run->span = ctx.tracer->StartSpan(
@@ -985,73 +1521,25 @@ Status RunPipeline(engine::Node* node, ExecContext& ctx, const VecPlan& plan,
   int64_t out_rows = 0;
   switch (pipe.sink.kind) {
     case VecSink::Kind::kCollect: {
-      auto& out = (*inters)[static_cast<size_t>(pipe.sink.target)];
-      size_t total = out.size();
-      for (const auto& local : run->local_rows) total += local.size();
-      out.reserve(total);
-      for (auto& local : run->local_rows) {
-        std::move(local.begin(), local.end(), std::back_inserter(out));
-      }
+      ColumnStore& out = (*inters)[static_cast<size_t>(pipe.sink.target)];
+      for (ColumnStore& local : run->local_rows) out.Append(std::move(local));
       for (const PostOp& post : pipe.posts) {
         CITUSX_RETURN_IF_ERROR(ApplyPost(ctx, post, &out));
       }
-      out_rows = static_cast<int64_t>(out.size());
+      out_rows = out.rows;
       break;
     }
     case VecSink::Kind::kHashBuild: {
-      auto& table = (*hash_tables)[static_cast<size_t>(pipe.sink.target)];
-      for (auto& local : run->local_tables) {
-        for (auto& [key, rows] : local) {
-          auto [it, added] = table.try_emplace(key, std::move(rows));
-          if (!added) {
-            std::move(rows.begin(), rows.end(),
-                      std::back_inserter(it->second));
-          }
-        }
-        local.clear();
-      }
-      for (const auto& [key, rows] : table) {
-        out_rows += static_cast<int64_t>(rows.size());
-      }
+      JoinTable& table = (*hash_tables)[static_cast<size_t>(pipe.sink.target)];
+      CITUSX_RETURN_IF_ERROR(
+          table.Build(std::move(run->local_builds), pipe.sink.key_cols));
+      out_rows = table.size();
       break;
     }
     case VecSink::Kind::kAggregate: {
-      AggGroups merged;
-      for (auto& local : run->local_groups) {
-        for (auto& [key, group] : local) {
-          auto [it, added] = merged.try_emplace(key);
-          if (added) {
-            it->second.keys = std::move(group.keys);
-            it->second.states.resize(pipe.sink.aggs.size());
-          }
-          for (size_t a = 0; a < pipe.sink.aggs.size(); a++) {
-            MergeAggState(pipe.sink.aggs[a], group.states[a],
-                          &it->second.states[a]);
-          }
-        }
-      }
-      if (merged.empty() && pipe.sink.group_exprs.empty()) {
-        // Aggregate over empty input: one row of "empty" aggregates.
-        AggGroup g;
-        g.states.resize(pipe.sink.aggs.size());
-        merged.emplace("", std::move(g));
-      }
-      auto& out = (*inters)[static_cast<size_t>(pipe.sink.target)];
-      for (auto& [key, g] : merged) {
-        sql::Row row = std::move(g.keys);
-        for (size_t a = 0; a < pipe.sink.aggs.size(); a++) {
-          AggState& st = g.states[a];
-          // Fold collected DISTINCT values now that duplicates are merged.
-          if (pipe.sink.aggs[a].distinct) {
-            for (const auto& [dk, dv] : st.distinct_vals) {
-              AggTransition(pipe.sink.aggs[a], dv, &st);
-            }
-          }
-          row.push_back(AggFinal(pipe.sink.aggs[a], st));
-        }
-        out.push_back(std::move(row));
-      }
-      out_rows = static_cast<int64_t>(out.size());
+      ColumnStore& out = (*inters)[static_cast<size_t>(pipe.sink.target)];
+      FinishAggregate(pipe.sink, &run->local_groups, &out);
+      out_rows = out.rows;
       break;
     }
   }
@@ -1081,19 +1569,26 @@ Result<std::optional<QueryResult>> RunVectorized(engine::Node* node,
     vplan.pipelines.push_back(std::move(root));
   }
 
-  std::vector<std::vector<sql::Row>> inters(
-      static_cast<size_t>(vplan.num_inters));
-  std::vector<HashTable> hash_tables(
+  std::vector<ColumnStore> inters(static_cast<size_t>(vplan.num_inters));
+  std::vector<JoinTable> hash_tables(
       static_cast<size_t>(vplan.num_hash_tables));
   for (const Pipeline& pipe : vplan.pipelines) {
-    CITUSX_RETURN_IF_ERROR(
-        RunPipeline(node, ctx, vplan, pipe, &inters, &hash_tables));
+    CITUSX_RETURN_IF_ERROR(RunPipeline(node, ctx, pipe, &inters, &hash_tables));
   }
 
+  // The only place rows are built: the final result.
+  ColumnStore& result = inters[static_cast<size_t>(vplan.final_inter)];
   QueryResult out;
   out.column_names = plan.output_names;
   out.column_types = plan.output_types;
-  out.rows = std::move(inters[static_cast<size_t>(vplan.final_inter)]);
+  out.rows.resize(static_cast<size_t>(result.rows));
+  for (size_t r = 0; r < out.rows.size(); r++) {
+    sql::Row& row = out.rows[r];
+    row.resize(result.width());
+    for (size_t c = 0; c < result.width(); c++) {
+      if (!result.skipped[c]) row[c] = std::move(result.columns[c][r]);
+    }
+  }
   out.command_tag = "SELECT";
   CITUSX_RETURN_IF_ERROR(ctx.FlushCpu());
   return std::optional<QueryResult>(std::move(out));

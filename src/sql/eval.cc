@@ -9,6 +9,32 @@ namespace citusx::sql {
 
 namespace {
 
+const Datum kNullDatum;
+
+/// The input-tuple value that a bound column reference or aggregate reads,
+/// in place; null when the slot is unbound. A skipped column of a
+/// column-major tuple reads as NULL.
+const Datum* InputSlot(const Expr& e, const EvalContext& ctx) {
+  if (e.slot < 0) return nullptr;
+  size_t slot = static_cast<size_t>(e.slot);
+  if (ctx.columns != nullptr) {
+    if (slot >= ctx.columns->size()) return nullptr;
+    const std::vector<Datum>* col = (*ctx.columns)[slot];
+    return col == nullptr ? &kNullDatum : &(*col)[ctx.index];
+  }
+  if (ctx.row == nullptr || slot >= ctx.row->size()) return nullptr;
+  return &(*ctx.row)[slot];
+}
+
+Status UnboundSlot(const Expr& e) {
+  // Aggregates are materialized into slots by the executor; a bound agg
+  // node reads its result exactly like a column reference.
+  if (e.kind == ExprKind::kAgg) {
+    return Status::Internal("unbound aggregate in evaluation");
+  }
+  return Status::Internal("unbound column reference: " + e.column);
+}
+
 Result<Datum> EvalNumeric(BinOp op, const Datum& l, const Datum& r) {
   // Date/timestamp arithmetic.
   if (l.type() == TypeId::kDate && IsIntegral(r.type())) {
@@ -314,16 +340,9 @@ Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {
       return e.value;
     case ExprKind::kColumnRef:
     case ExprKind::kAgg: {
-      // Aggregates are materialized into slots by the executor; a bound agg
-      // node reads its result exactly like a column reference.
-      if (e.slot < 0 || ctx.row == nullptr ||
-          e.slot >= static_cast<int>(ctx.row->size())) {
-        if (e.kind == ExprKind::kAgg) {
-          return Status::Internal("unbound aggregate in evaluation");
-        }
-        return Status::Internal("unbound column reference: " + e.column);
-      }
-      return (*ctx.row)[static_cast<size_t>(e.slot)];
+      const Datum* v = InputSlot(e, ctx);
+      if (v == nullptr) return UnboundSlot(e);
+      return *v;
     }
     case ExprKind::kParam: {
       if (ctx.params == nullptr ||
@@ -354,8 +373,13 @@ Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {
         if (l.is_null() || r.is_null()) return Datum::Null();
         return Datum::Bool(is_and);
       }
-      CITUSX_ASSIGN_OR_RETURN(Datum l, Eval(*e.args[0], ctx));
-      CITUSX_ASSIGN_OR_RETURN(Datum r, Eval(*e.args[1], ctx));
+      Datum l_scratch, r_scratch;
+      CITUSX_ASSIGN_OR_RETURN(const Datum* lp,
+                              EvalRef(*e.args[0], ctx, &l_scratch));
+      CITUSX_ASSIGN_OR_RETURN(const Datum* rp,
+                              EvalRef(*e.args[1], ctx, &r_scratch));
+      const Datum& l = *lp;
+      const Datum& r = *rp;
       switch (e.bin_op) {
         case BinOp::kEq:
         case BinOp::kNe:
@@ -406,7 +430,10 @@ Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {
       }
     }
     case ExprKind::kUnary: {
-      CITUSX_ASSIGN_OR_RETURN(Datum v, Eval(*e.args[0], ctx));
+      Datum scratch;
+      CITUSX_ASSIGN_OR_RETURN(const Datum* vp,
+                              EvalRef(*e.args[0], ctx, &scratch));
+      const Datum& v = *vp;
       if (v.is_null()) return Datum::Null();
       if (e.un_op == UnOp::kNot) return Datum::Bool(!v.bool_value());
       if (v.type() == TypeId::kFloat8) return Datum::Float8(-v.float_value());
@@ -434,34 +461,54 @@ Result<Datum> Eval(const Expr& e, const EvalContext& ctx) {
       return Datum::Null();
     }
     case ExprKind::kCast: {
-      CITUSX_ASSIGN_OR_RETURN(Datum v, Eval(*e.args[0], ctx));
-      return v.CastTo(e.cast_type);
+      Datum scratch;
+      CITUSX_ASSIGN_OR_RETURN(const Datum* v,
+                              EvalRef(*e.args[0], ctx, &scratch));
+      return v->CastTo(e.cast_type);
     }
     case ExprKind::kIn: {
-      CITUSX_ASSIGN_OR_RETURN(Datum needle, Eval(*e.args[0], ctx));
-      if (needle.is_null()) return Datum::Null();
+      Datum needle_scratch, item_scratch;
+      CITUSX_ASSIGN_OR_RETURN(const Datum* needle,
+                              EvalRef(*e.args[0], ctx, &needle_scratch));
+      if (needle->is_null()) return Datum::Null();
       bool saw_null = false;
       for (size_t i = 1; i < e.args.size(); i++) {
-        CITUSX_ASSIGN_OR_RETURN(Datum item, Eval(*e.args[i], ctx));
-        if (item.is_null()) {
+        CITUSX_ASSIGN_OR_RETURN(const Datum* item,
+                                EvalRef(*e.args[i], ctx, &item_scratch));
+        if (item->is_null()) {
           saw_null = true;
           continue;
         }
-        if (Datum::Compare(needle, item) == 0) return Datum::Bool(true);
+        if (Datum::Compare(*needle, *item) == 0) return Datum::Bool(true);
       }
       return saw_null ? Datum::Null() : Datum::Bool(false);
     }
     case ExprKind::kIsNull: {
-      CITUSX_ASSIGN_OR_RETURN(Datum v, Eval(*e.args[0], ctx));
-      return Datum::Bool(e.is_not_null ? !v.is_null() : v.is_null());
+      Datum scratch;
+      CITUSX_ASSIGN_OR_RETURN(const Datum* v,
+                              EvalRef(*e.args[0], ctx, &scratch));
+      return Datum::Bool(e.is_not_null ? !v->is_null() : v->is_null());
     }
   }
   return Status::Internal("bad expression kind");
 }
 
+Result<const Datum*> EvalRef(const Expr& e, const EvalContext& ctx,
+                             Datum* scratch) {
+  if (e.kind == ExprKind::kConst) return &e.value;
+  if (e.kind == ExprKind::kColumnRef || e.kind == ExprKind::kAgg) {
+    const Datum* v = InputSlot(e, ctx);
+    if (v == nullptr) return UnboundSlot(e);
+    return v;
+  }
+  CITUSX_ASSIGN_OR_RETURN(*scratch, Eval(e, ctx));
+  return scratch;
+}
+
 Result<bool> EvalPredicate(const Expr& e, const EvalContext& ctx) {
-  CITUSX_ASSIGN_OR_RETURN(Datum v, Eval(e, ctx));
-  return !v.is_null() && v.bool_value();
+  Datum scratch;
+  CITUSX_ASSIGN_OR_RETURN(const Datum* v, EvalRef(e, ctx, &scratch));
+  return !v->is_null() && v->bool_value();
 }
 
 TypeId InferType(const Expr& e, const std::vector<TypeId>& input_types) {

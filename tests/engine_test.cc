@@ -500,6 +500,53 @@ TEST_F(EngineTest, ForUpdateLocksRows) {
   sim_.Shutdown();
 }
 
+TEST(EngineScanTest, FilteredScanSurvivesConcurrentVersionGrowth) {
+  // A filtered seq scan charges its predicate before evaluating it; with a
+  // predicate cost above the CPU flush threshold that charge yields. A
+  // concurrent session updating the row under evaluation meanwhile grows
+  // (and reallocates) the row's version vector, so the scan must not keep
+  // a pointer into it across the charge.
+  sim::CostModel cost = sim::DefaultCostModel();
+  cost.cpu_per_expr_eval = 20 * sim::kMillisecond;
+  sim::Simulation sim;
+  Node node(&sim, "pg1", cost);
+  auto setup = node.OpenSession();
+  auto scanner = node.OpenSession();
+  auto updater = node.OpenSession();
+  sim.Spawn("setup", [&] {
+    ASSERT_TRUE(
+        setup->Execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").ok());
+    ASSERT_TRUE(setup->Execute("INSERT INTO t VALUES (1, 0)").ok());
+  });
+  sim.Run();
+  constexpr int kUpdates = 16;  // version capacity 1 -> 2 -> ... -> 16
+  sim::Time scan_done_at = -1;
+  sim::Time updates_done_at = -1;
+  sim.Spawn("scanner", [&] {
+    auto r = scanner->Execute("SELECT k, v FROM t WHERE v >= 0");
+    scan_done_at = sim.now();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // The scan's snapshot predates every update.
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][1].int_value(), 0);
+  });
+  sim.Spawn("updater", [&] {
+    // Start once the scanner is parked in its predicate charge. No WHERE
+    // clause: the updates themselves charge no predicate evaluation.
+    sim.WaitFor(sim::kMillisecond);
+    for (int i = 0; i < kUpdates; i++) {
+      auto r = updater->Execute("UPDATE t SET v = v + 1");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    updates_done_at = sim.now();
+  });
+  sim.Run();
+  sim.Shutdown();
+  // Every update landed while the scanner was parked.
+  ASSERT_GT(updates_done_at, 0);
+  EXPECT_LT(updates_done_at, scan_done_at);
+}
+
 TEST_F(EngineTest, InsertSelectLocal) {
   RunSim([&] {
     auto s = node_.OpenSession();
