@@ -127,7 +127,10 @@ class SeqScanNode : public ExecNode {
   sql::ExprPtr filter;  // bound; may be null
   bool lock_rows = false;
   bool emit_rowid = false;
-  std::vector<int> projection;  // columnar scans: referenced column indexes
+  // Referenced column indexes (empty = all). Columnar scans read only
+  // these; the vectorized heap source copies only these (others read as
+  // NULL); volcano heap scans emit whole rows.
+  std::vector<int> projection;
 
   Status Execute(ExecContext& ctx, const RowSink& sink) override;
 };

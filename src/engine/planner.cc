@@ -3,6 +3,7 @@
 #include "engine/hooks.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "common/str.h"
@@ -134,8 +135,9 @@ struct PlannedRel {
   Scope scope;
 };
 
-// Referenced columns of a base table (for columnar projection pruning):
-// computed from the whole statement by qualifier/name matching.
+// Referenced columns of a base table (for scan projection pruning):
+// computed from the whole statement, join ON clauses included, by
+// qualifier/name matching.
 std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
                                    const std::string& qualifier,
                                    const sql::Schema& schema) {
@@ -151,7 +153,15 @@ std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
       }
     });
   };
+  std::function<void(const sql::TableRefPtr&)> visit_joins =
+      [&](const sql::TableRefPtr& ref) {
+        if (ref == nullptr || ref->kind != sql::TableRef::Kind::kJoin) return;
+        visit(ref->on);
+        visit_joins(ref->left);
+        visit_joins(ref->right);
+      };
   for (const auto& t : stmt.targets) visit(t.expr);
+  for (const auto& f : stmt.from) visit_joins(f);
   visit(stmt.where);
   for (const auto& g : stmt.group_by) visit(g);
   visit(stmt.having);
@@ -164,7 +174,7 @@ std::vector<int> ReferencedColumns(const sql::SelectStmt& stmt,
 // scope. Consumes `conjuncts`.
 Result<ExecNodePtr> BuildScan(TableInfo* table, const Scope& scope,
                               std::vector<ExprPtr> conjuncts,
-                              const std::vector<int>& columnar_projection,
+                              const std::vector<int>& projection,
                               bool lock_rows, bool emit_rowid) {
   // Classify conjuncts: equality col=value, range on col, like/ilike.
   struct Equality {
@@ -326,7 +336,7 @@ Result<ExecNodePtr> BuildScan(TableInfo* table, const Scope& scope,
   scan->filter = AndAll(conjuncts);
   scan->lock_rows = lock_rows;
   scan->emit_rowid = emit_rowid;
-  scan->projection = columnar_projection;
+  scan->projection = projection;
   return ExecNodePtr(std::move(scan));
 }
 
@@ -408,12 +418,10 @@ Result<PlannedRel> SelectPlanner::PlanBaseTable(
       ++it;
     }
   }
-  std::vector<int> projection =
-      table->is_columnar() ? ReferencedColumns(stmt_, qualifier, table->schema())
-                           : std::vector<int>();
   CITUSX_ASSIGN_OR_RETURN(
       ExecNodePtr node,
-      BuildScan(table, out.scope, std::move(mine), projection,
+      BuildScan(table, out.scope, std::move(mine),
+                ReferencedColumns(stmt_, qualifier, table->schema()),
                 stmt_.for_update, /*emit_rowid=*/false));
   for (const auto& c : out.scope.cols) {
     node->output_names.push_back(c.name);

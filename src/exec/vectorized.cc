@@ -44,7 +44,7 @@ struct VecSource {
   // The planner's scan filter, read by min/max stripe pruning: the stripes
   // scanned (and charged) do not depend on folding.
   ExprPtr prune_filter;
-  std::vector<int> projection;         // kColumnar: referenced columns
+  std::vector<int> projection;         // kColumnar / kHeap: columns read
   const engine::TempRelation* temp = nullptr;  // kTemp
   int inter = -1;                      // kMaterialized: intermediate slot
   size_t width = 0;
@@ -856,9 +856,20 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
         *cancelled = true;
         return Status::OK();
       }
+      // Copy only the projected columns; the others stay null (read as
+      // NULL), as a columnar stripe's unprojected columns do.
       size_t width = static_cast<size_t>(src.table->schema().num_columns());
+      std::vector<size_t> read;
+      if (src.projection.empty()) {
+        for (size_t c = 0; c < width; c++) read.push_back(c);
+      } else {
+        for (int c : src.projection) read.push_back(static_cast<size_t>(c));
+      }
       std::vector<std::vector<sql::Datum>> cols(width);
-      for (auto& c : cols) c.reserve(static_cast<size_t>(m.end - m.begin));
+      for (size_t c : read) {
+        cols[c].reserve(static_cast<size_t>(m.end - m.begin));
+      }
+      int64_t rows = 0;
       for (int64_t rid = m.begin; rid < m.end; rid++) {
         if (!src.table->heap->TouchRow(static_cast<storage::RowId>(rid),
                                        /*dirty=*/false)) {
@@ -868,11 +879,14 @@ Status ReadMorsel(ExecContext& ctx, PipelineRun& run, const MorselTask& m,
         const storage::TupleVersion* v = src.table->heap->VisibleVersion(
             static_cast<storage::RowId>(rid), ctx.snapshot, *ctx.txns);
         if (v == nullptr) continue;
-        for (size_t c = 0; c < width; c++) cols[c].push_back(v->row[c]);
+        for (size_t c : read) cols[c].push_back(v->row[c]);
+        rows++;
       }
-      chunk->rows = cols.empty() ? 0 : static_cast<int64_t>(cols[0].size());
-      chunk->columns.clear();
-      for (auto& c : cols) chunk->columns.push_back(ColumnRef::Owned(std::move(c)));
+      chunk->rows = rows;
+      chunk->columns.assign(width, ColumnRef());
+      for (size_t c : read) {
+        chunk->columns[c] = ColumnRef::Owned(std::move(cols[c]));
+      }
       return Status::OK();
     }
     case VecSource::Kind::kTemp: {

@@ -89,6 +89,8 @@ int Schema::RowWidth() const {
   return w;
 }
 
+const std::string Datum::kEmptyText;
+
 int Datum::Compare(const Datum& a, const Datum& b) {
   // NULLs sort after everything (PostgreSQL default NULLS LAST for ASC).
   if (a.is_null() && b.is_null()) return 0;
@@ -119,13 +121,11 @@ int Datum::Compare(const Datum& a, const Datum& b) {
     case TypeId::kTimestamp:
       return a.i_ < b.i_ ? -1 : (a.i_ > b.i_ ? 1 : 0);
     case TypeId::kText: {
-      int c = a.s_.compare(b.s_);
+      int c = a.text_value().compare(b.text_value());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeId::kJsonb: {
-      std::string x = a.j_ ? a.j_->ToString() : "null";
-      std::string y = b.j_ ? b.j_->ToString() : "null";
-      int c = x.compare(y);
+      int c = a.JsonText().compare(b.JsonText());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     default:
@@ -138,9 +138,9 @@ int32_t Datum::PartitionHash() const {
     case TypeId::kNull:
       return 0;
     case TypeId::kText:
-      return HashBytes(s_);
+      return HashBytes(text_value());
     case TypeId::kJsonb:
-      return HashBytes(j_ ? j_->ToString() : "null");
+      return HashBytes(JsonText());
     case TypeId::kFloat8:
       return HashInt64(static_cast<int64_t>(d_ * 1e6));
     default:
@@ -152,10 +152,16 @@ std::string Datum::GroupKey() const {
   switch (type_) {
     case TypeId::kNull:
       return "\x00N";
-    case TypeId::kText:
-      return "T" + s_;
-    case TypeId::kJsonb:
-      return "J" + (j_ ? j_->ToString() : "null");
+    case TypeId::kText: {
+      std::string key = "T";
+      key.append(text_value());
+      return key;
+    }
+    case TypeId::kJsonb: {
+      std::string key = "J";
+      key.append(JsonText());
+      return key;
+    }
     case TypeId::kFloat8: {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "F%.17g", d_);
@@ -185,13 +191,13 @@ std::string Datum::ToText() const {
       return StrFormat("%g", d_);
     }
     case TypeId::kText:
-      return s_;
+      return text_value();
     case TypeId::kDate:
       return FormatDate(i_);
     case TypeId::kTimestamp:
       return FormatTimestamp(i_);
     case TypeId::kJsonb:
-      return j_ ? j_->ToString() : "null";
+      return JsonText();
   }
   return "";
 }
@@ -208,13 +214,13 @@ std::string Datum::ToSqlLiteral() const {
     case TypeId::kFloat8:
       return StrFormat("%.17g", d_);
     case TypeId::kText:
-      return QuoteSqlLiteral(s_);
+      return QuoteSqlLiteral(text_value());
     case TypeId::kDate:
       return QuoteSqlLiteral(FormatDate(i_)) + "::date";
     case TypeId::kTimestamp:
       return QuoteSqlLiteral(FormatTimestamp(i_)) + "::timestamp";
     case TypeId::kJsonb:
-      return QuoteSqlLiteral(j_ ? j_->ToString() : "null") + "::jsonb";
+      return QuoteSqlLiteral(JsonText()) + "::jsonb";
   }
   return "NULL";
 }
@@ -277,21 +283,21 @@ Result<Datum> Datum::CastTo(TypeId target) const {
   switch (target) {
     case TypeId::kInt4:
       if (IsNumeric(type_)) return Datum::Int4(static_cast<int32_t>(AsInt64()));
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       if (type_ == TypeId::kBool) return Datum::Int4(i_ != 0 ? 1 : 0);
       break;
     case TypeId::kInt8:
       if (IsNumeric(type_)) return Datum::Int8(AsInt64());
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       break;
     case TypeId::kFloat8:
       if (IsNumeric(type_)) return Datum::Float8(AsDouble());
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       break;
     case TypeId::kText:
       return Datum::Text(ToText());
     case TypeId::kDate:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       if (type_ == TypeId::kTimestamp) {
         int64_t days = i_ / 86400000000LL;
         if (i_ < 0 && i_ % 86400000000LL != 0) days--;
@@ -299,14 +305,14 @@ Result<Datum> Datum::CastTo(TypeId target) const {
       }
       break;
     case TypeId::kTimestamp:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       if (type_ == TypeId::kDate) return Datum::Timestamp(i_ * 86400000000LL);
       break;
     case TypeId::kJsonb:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       break;
     case TypeId::kBool:
-      if (type_ == TypeId::kText) return FromText(target, s_);
+      if (type_ == TypeId::kText) return FromText(target, text_value());
       if (IsNumeric(type_)) return Datum::Bool(AsInt64() != 0);
       break;
     default:
@@ -325,9 +331,9 @@ int64_t Datum::PhysicalSize() const {
     case TypeId::kInt4:
       return 4;
     case TypeId::kText:
-      return static_cast<int64_t>(s_.size()) + 4;
+      return static_cast<int64_t>(text_value().size()) + 4;
     case TypeId::kJsonb:
-      return j_ ? j_->SerializedSize() : 4;
+      return json() ? json()->SerializedSize() : 4;
     default:
       return 8;
   }

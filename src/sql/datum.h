@@ -3,6 +3,7 @@
 #define CITUSX_SQL_DATUM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,10 @@
 
 namespace citusx::sql {
 
-/// A runtime SQL value. Copyable; strings/JSON are shared or copied cheaply.
+/// A runtime SQL value. 32 bytes: a type tag, one 8-byte slot holding the
+/// int64 or the double, and a reference-counted immutable payload (the
+/// std::string of a text value, the Json of a jsonb value). Copying never
+/// allocates; copies of a text/jsonb value share its payload.
 class Datum {
  public:
   /// SQL NULL (type kNull).
@@ -46,7 +50,10 @@ class Datum {
   static Datum Text(std::string s) {
     Datum d;
     d.type_ = TypeId::kText;
-    d.s_ = std::move(s);
+    // The empty string needs no payload (text_value() reads it as "").
+    if (!s.empty()) {
+      d.payload_ = std::make_shared<const std::string>(std::move(s));
+    }
     return d;
   }
   /// Days since 2000-01-01.
@@ -66,19 +73,28 @@ class Datum {
   static Datum Jsonb(JsonPtr j) {
     Datum d;
     d.type_ = TypeId::kJsonb;
-    d.j_ = std::move(j);
+    d.payload_ = std::move(j);
     return d;
   }
 
   TypeId type() const { return type_; }
   bool is_null() const { return type_ == TypeId::kNull; }
 
-  bool bool_value() const { return i_ != 0; }
+  // Accessors of another type's payload read as 0 / false / "" / null.
+  bool bool_value() const { return int_value() != 0; }
   /// Raw int64 payload (int4/int8/bool/date/timestamp).
-  int64_t int_value() const { return i_; }
-  double float_value() const { return d_; }
-  const std::string& text_value() const { return s_; }
-  const JsonPtr& json_value() const { return j_; }
+  int64_t int_value() const { return type_ == TypeId::kFloat8 ? 0 : i_; }
+  double float_value() const { return type_ == TypeId::kFloat8 ? d_ : 0; }
+  const std::string& text_value() const {
+    return type_ == TypeId::kText && payload_ != nullptr
+               ? *static_cast<const std::string*>(payload_.get())
+               : kEmptyText;
+  }
+  JsonPtr json_value() const {
+    return type_ == TypeId::kJsonb
+               ? std::static_pointer_cast<const Json>(payload_)
+               : nullptr;
+  }
 
   /// Numeric value as double (int types widen); 0 for non-numerics.
   double AsDouble() const {
@@ -122,11 +138,20 @@ class Datum {
   int64_t PhysicalSize() const;
 
  private:
+  static const std::string kEmptyText;
+
+  /// The Json of a kJsonb value (null for a null JsonPtr).
+  const Json* json() const { return static_cast<const Json*>(payload_.get()); }
+  /// A kJsonb value's serialization ("null" for a null JsonPtr).
+  std::string JsonText() const { return json() ? json()->ToString() : "null"; }
+
   TypeId type_ = TypeId::kNull;
-  int64_t i_ = 0;
-  double d_ = 0;
-  std::string s_;
-  JsonPtr j_;
+  // Non-float types keep i_ (0 unless set); kFloat8 keeps d_.
+  union {
+    int64_t i_ = 0;
+    double d_;
+  };
+  std::shared_ptr<const void> payload_;
 };
 
 /// One tuple.
