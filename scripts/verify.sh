@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Single entry point for CI and local verification:
 #   tier 1: release build + full ctest suite (includes cituslint: layering,
-#           status-discard, lock-rank, raw-mutex, nodiscard,
-#           blocking-under-lock, guc-registry, metrics-registry — see
-#           tools/cituslint/ and the baseline burn-down report below)
+#           status-discard, single-thread, nodiscard, blocking-under-lock,
+#           guc-registry, metrics-registry — see tools/cituslint/ and the
+#           baseline burn-down report below)
 #   tier 2: AddressSanitizer build + full ctest suite
-#   tier 3: ThreadSanitizer build + full ctest suite
-#   tier 4: UndefinedBehaviorSanitizer build + full ctest suite
+#   tier 3: UndefinedBehaviorSanitizer build (with float-cast-overflow;
+#           every report is fatal) + full ctest suite
 #   tier bench: bench + chaos smoke — fig9 (2PC invariant), abl_plancache
 #               (>= 2x plan-cache speedup), abl_mx (>= 2x any-node read
 #               scaling), abl_olap (vectorized executor matches the volcano
@@ -16,12 +16,15 @@
 #               abl_joins (repartition joins match a single-node oracle,
 #               worker-to-worker shuffle relays zero bytes through the
 #               coordinator and beats the coordinator-relay ablation),
-#               chaos_ycsb --quick under a fixed seed (release and, when
-#               present, the ASan build); every binary self-checks its own
-#               invariants and JSON report
+#               chaos_ycsb --quick under a fixed seed; every one of these
+#               self-checks its own invariants and JSON report. Also
+#               abl_executor (slow start on and off), which has no
+#               self-check yet but must exit 0: its pool-growth openers
+#               outlive their sessions. abl_executor and chaos_ycsb run in
+#               the release and, when present, the ASan build
 #
 # Usage: scripts/verify.sh [--tier N]
-#   --tier N       run only that tier (1-4, or "bench"); "bench" expects a
+#   --tier N       run only that tier (1-3, or "bench"); "bench" expects a
 #                  tier-1 build to exist and reuses the ASan build if one
 #                  is already present
 #   --tier1-only   alias for --tier 1 (kept for older callers)
@@ -34,7 +37,7 @@ TIER=all
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --tier)
-      [[ $# -ge 2 ]] || { echo "--tier needs an argument (1-4 or bench)" >&2; exit 2; }
+      [[ $# -ge 2 ]] || { echo "--tier needs an argument (1-3 or bench)" >&2; exit 2; }
       TIER="$2"; shift 2 ;;
     --tier=*) TIER="${1#--tier=}"; shift ;;
     --tier1-only) TIER=1; shift ;;
@@ -42,8 +45,8 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 case "$TIER" in
-  all|1|2|3|4|bench) ;;
-  *) echo "unknown tier: $TIER (expected 1-4 or bench)" >&2; exit 2 ;;
+  all|1|2|3|bench) ;;
+  *) echo "unknown tier: $TIER (expected 1-3 or bench)" >&2; exit 2 ;;
 esac
 
 run_tier() { [[ "$TIER" == all || "$TIER" == "$1" ]]; }
@@ -84,14 +87,7 @@ if run_tier 2; then
 fi
 
 if run_tier 3; then
-  echo "==> tier 3: ThreadSanitizer build + ctest"
-  cmake -B build-tsan -S . -DCITUSX_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j"$(nproc)"
-  (cd build-tsan && ctest --output-on-failure -j"$(nproc)")
-fi
-
-if run_tier 4; then
-  echo "==> tier 4: UndefinedBehaviorSanitizer build + ctest"
+  echo "==> tier 3: UndefinedBehaviorSanitizer build + ctest"
   cmake -B build-ubsan -S . -DCITUSX_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j"$(nproc)"
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)")
@@ -117,13 +113,17 @@ if run_tier bench; then
   echo "==> joins smoke: repartition shuffle + CTE materialization vs oracle"
   ./build/bench/abl_joins --quick --json=build/BENCH_joins_smoke.json
 
+  echo "==> executor smoke: slow start on/off, openers outliving sessions"
+  ./build/bench/abl_executor
+
   echo "==> chaos smoke: crash/restart schedule under a fixed seed"
   ./build/bench/chaos_ycsb --quick --seed=42 --json=build/BENCH_chaos_smoke.json
   if [[ -x build-asan/bench/chaos_ycsb ]]; then
+    ./build-asan/bench/abl_executor
     ./build-asan/bench/chaos_ycsb --quick --seed=42 \
         --json=build-asan/BENCH_chaos_smoke.json
   else
-    echo "    (no ASan build present; skipping the ASan chaos pass)"
+    echo "    (no ASan build present; skipping the ASan executor and chaos passes)"
   fi
 fi
 

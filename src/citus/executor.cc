@@ -518,8 +518,12 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
 
   // Grow connection pools toward the current allowance; new connections
   // are established concurrently (non-blocking connects), each becoming a
-  // runner when ready.
-  auto grow = [&st, stp, &session, this](int allowance) {
+  // runner when ready. An opener may finish after the statement and its
+  // session are gone, so it shares ownership of the session state: the
+  // connection it opens then closes with the state's last owner.
+  auto session_state =
+      std::static_pointer_cast<CitusSessionState>(session.extension_state);
+  auto grow = [&st, stp, session_state, this](int allowance) {
     for (auto& [worker, q] : st.queues) {
       int pending = static_cast<int>(q.general.size());
       if (pending == 0) continue;
@@ -528,11 +532,10 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::Execute(
         q.runners++;  // reserve the slot before the async open
         std::string w = worker;
         CitusExtension* ext = ext_;
-        engine::Session* sess = &session;
         st.sim->Spawn(
             "citus:opener",
-            [stp, w, ext, sess] {
-              auto extra = ext->TryOpenExtraConnection(*sess, w);
+            [stp, w, ext, session_state] {
+              auto extra = ext->TryOpenExtraConnection(*session_state, w);
               if (!extra.ok() || *extra == nullptr) {
                 if (!extra.ok() && stp->first_error.ok()) {
                   stp->first_error = extra.status();
@@ -648,11 +651,13 @@ Result<std::vector<engine::QueryResult>> AdaptiveExecutor::ExecutePipelined(
       q.runners++;
       std::string w = worker;
       CitusExtension* ext = ext_;
-      engine::Session* sess = &session;
+      // Shared for the same reason as the general path's openers.
+      auto session_state =
+          std::static_pointer_cast<CitusSessionState>(session.extension_state);
       sim->Spawn(
           "citus:pipeline_opener",
-          [stp, w, ext, sess, batch] {
-            auto extra = ext->TryOpenExtraConnection(*sess, w);
+          [stp, w, ext, session_state, batch] {
+            auto extra = ext->TryOpenExtraConnection(*session_state, w);
             if (!extra.ok() || *extra == nullptr) {
               // Budget or worker unavailable: the remaining runners (at
               // least the first) drain this worker's queue.

@@ -1,6 +1,5 @@
 #include "citus/extension.h"
 
-#include <mutex>
 #include <unordered_map>
 
 #include "citus/plancache.h"
@@ -203,7 +202,7 @@ std::string CitusExtension::MakeGid(const std::string& dist_txn_id, int seq) {
 }
 
 void CitusExtension::OnConnectionClosed(const std::string& worker) {
-  MutexLock guard(pool_mu_);
+  sim::NoYieldScope no_yield;
   auto it = outgoing_.find(worker);
   if (it != outgoing_.end() && it->second > 0) it->second--;
 }
@@ -259,7 +258,7 @@ Result<WorkerConnection*> CitusExtension::GetConnection(
     conn->SetStatementTimeout(config_.statement_timeout);
   }
   {
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     outgoing_[worker]++;
   }
   auto wc = std::make_unique<WorkerConnection>();
@@ -271,7 +270,7 @@ Result<WorkerConnection*> CitusExtension::GetConnection(
 }
 
 Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
-    engine::Session& session, const std::string& worker) {
+    CitusSessionState& state, const std::string& worker) {
   if (outgoing_connections(worker) >= config_.max_shared_pool_size) {
     return static_cast<WorkerConnection*>(nullptr);  // limit reached
   }
@@ -287,10 +286,9 @@ Result<WorkerConnection*> CitusExtension::TryOpenExtraConnection(
     (*conn)->SetStatementTimeout(config_.statement_timeout);
   }
   {
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     outgoing_[worker]++;
   }
-  CitusSessionState& state = SessionState(session);
   auto wc = std::make_unique<WorkerConnection>();
   wc->conn = std::move(conn).value();
   wc->worker = worker;
@@ -322,7 +320,7 @@ void CitusExtension::NoteWorkerUnavailable(const std::string& worker) {
   // connection must not invalidate every cached plan).
   if (node == nullptr || !node->is_down()) return;
   {
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     if (!down_workers_.insert(worker).second) return;
   }
   metric_node_down->Inc();
@@ -332,14 +330,14 @@ void CitusExtension::NoteWorkerUnavailable(const std::string& worker) {
 }
 
 void CitusExtension::NoteWorkerAvailable(const std::string& worker) {
-  MutexLock guard(pool_mu_);
+  sim::NoYieldScope no_yield;
   down_workers_.erase(worker);
 }
 
 Result<std::unique_ptr<net::Connection>> CitusExtension::AcquireShuffleConnection(
     const std::string& worker) {
   {
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     auto it = shuffle_conns_.find(worker);
     while (it != shuffle_conns_.end() && !it->second.empty()) {
       std::unique_ptr<net::Connection> conn = std::move(it->second.back());
@@ -350,7 +348,7 @@ Result<std::unique_ptr<net::Connection>> CitusExtension::AcquireShuffleConnectio
       conn->Close();
     }
   }
-  // Connect outside the lock (the handshake yields).
+  // Connect outside the scope (the handshake yields).
   return directory_->Connect(node_, worker);
 }
 
@@ -361,7 +359,7 @@ void CitusExtension::ReleaseShuffleConnection(
     conn->Close();
     return;
   }
-  MutexLock guard(pool_mu_);
+  sim::NoYieldScope no_yield;
   auto& cached = shuffle_conns_[worker];
   // A couple of spares per destination is plenty: shuffles ship one bucket
   // per destination and rarely overlap on one source node.
@@ -374,17 +372,17 @@ void CitusExtension::ReleaseShuffleConnection(
 
 void CitusExtension::AddDeferredCleanup(const std::string& worker,
                                         std::vector<std::string> tables) {
-  MutexLock guard(pool_mu_);
+  sim::NoYieldScope no_yield;
   auto& pending = pending_cleanup_[worker];
   pending.insert(pending.end(), tables.begin(), tables.end());
 }
 
 int CitusExtension::RunDeferredCleanup(engine::Session& session) {
-  // Snapshot under the lock, drop over the network without it (round trips
-  // yield), then fold the survivors back in under the lock.
+  // Snapshot in a NoYieldScope, drop over the network outside it (round
+  // trips yield), then fold the survivors back in inside a new scope.
   std::map<std::string, std::vector<std::string>> snapshot;
   {
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     snapshot = pending_cleanup_;
   }
   int dropped = 0;
@@ -403,7 +401,7 @@ int CitusExtension::RunDeferredCleanup(engine::Session& session) {
         dropped_tables.push_back(table);
       }
     }
-    MutexLock guard(pool_mu_);
+    sim::NoYieldScope no_yield;
     auto it = pending_cleanup_.find(worker);
     if (it == pending_cleanup_.end()) continue;
     std::vector<std::string> remaining;

@@ -33,9 +33,9 @@
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "common/status.h"
 #include "common/str.h"
+#include "sim/simulation.h"
 #include "sql/types.h"
 
 namespace citusx::citus {
@@ -126,13 +126,13 @@ class CitusMetadata {
   }
 
   CitusTable* Add(CitusTable table) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     generation_++;
     return &(tables_[table.name] = std::move(table));
   }
 
   void Remove(const std::string& name) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     generation_++;
     tables_.erase(name);
   }
@@ -142,11 +142,11 @@ class CitusMetadata {
   /// node add/remove). Plan-cache entries snapshot it and are discarded
   /// when it no longer matches.
   uint64_t generation() const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return generation_;
   }
   void BumpGeneration() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     generation_++;
   }
 
@@ -156,7 +156,7 @@ class CitusMetadata {
   /// The authority is born synced at version 1; replicas stay at version 0
   /// and unsynced until a sync round completes.
   void InitAuthority() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     cluster_version_ = 1;
     mx_synced_ = true;
   }
@@ -164,7 +164,7 @@ class CitusMetadata {
   /// Authoritative metadata version of this copy: the version the authority
   /// has published, or the version a replica last applied.
   uint64_t cluster_version() const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return cluster_version_;
   }
 
@@ -172,7 +172,7 @@ class CitusMetadata {
   /// the local generation, since every authoritative change invalidates
   /// cached plans on this node too.
   void BumpClusterVersion() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     generation_++;
     cluster_version_++;
   }
@@ -180,7 +180,7 @@ class CitusMetadata {
   /// Authority-only: stamp `table` as changed at the current version, so
   /// incremental sync ships it to peers that applied an older version.
   void TouchTable(CitusTable* table) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     table->modified_version = cluster_version_;
   }
 
@@ -190,7 +190,7 @@ class CitusMetadata {
   /// reaches back far enough for a given peer (if not, sync falls back to
   /// the full protocol).
   void RecordTableDrop(const std::string& name) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     dropped_log_.emplace_back(cluster_version_, name);
     while (dropped_log_.size() > kDropLogCap) {
       drop_log_floor_ = dropped_log_.front().first;
@@ -198,7 +198,7 @@ class CitusMetadata {
     }
   }
   std::vector<std::string> DroppedSince(uint64_t version) const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     std::vector<std::string> out;
     for (const auto& [v, name] : dropped_log_) {
       if (v > version) out.push_back(name);
@@ -206,26 +206,26 @@ class CitusMetadata {
     return out;
   }
   bool DropLogCovers(uint64_t version) const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return version >= drop_log_floor_;
   }
 
   /// Authority-only: stamp the worker list / procedure map as changed at
   /// the current version, so delta sync ships them only when they changed.
   void TouchWorkers() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     workers_modified_version_ = cluster_version_;
   }
   uint64_t workers_modified_version() const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return workers_modified_version_;
   }
   void TouchProcedures() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     procedures_modified_version_ = cluster_version_;
   }
   uint64_t procedures_modified_version() const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return procedures_modified_version_;
   }
 
@@ -233,11 +233,11 @@ class CitusMetadata {
   /// authority). Cleared while a sync round is applying and on node
   /// restart, so a half-applied copy is never used for routing.
   bool mx_synced() const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return mx_synced_;
   }
   void set_mx_synced(bool synced) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     mx_synced_ = synced;
   }
 
@@ -246,11 +246,11 @@ class CitusMetadata {
   /// cluster_version falls below this watermark knows it is stale even
   /// before the authority re-syncs it.
   uint64_t known_cluster_version() const {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return known_cluster_version_;
   }
   void NoteObservedVersion(uint64_t version) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     known_cluster_version_ = std::max(known_cluster_version_, version);
   }
 
@@ -263,16 +263,16 @@ class CitusMetadata {
   /// FinishSync publishes the new version and bumps the generation once so
   /// cached plans built against the old copy are discarded.
   uint64_t BeginSync() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     mx_synced_ = false;
     return cluster_version_;
   }
   void ApplySyncedTable(CitusTable table) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     tables_[table.name] = std::move(table);
   }
   int ReconcileTables(const std::set<std::string>& keep) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     int removed = 0;
     for (auto it = tables_.begin(); it != tables_.end();) {
       if (keep.count(it->first) == 0) {
@@ -286,7 +286,7 @@ class CitusMetadata {
     return removed;
   }
   void FinishSync(uint64_t version) {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     cluster_version_ = version;
     known_cluster_version_ = std::max(known_cluster_version_, version);
     mx_synced_ = true;
@@ -300,11 +300,11 @@ class CitusMetadata {
   std::vector<std::string> workers;
 
   uint64_t NextShardId() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return next_shard_id_++;
   }
   int NextColocationId() {
-    MutexLock guard(metadata_mu_);
+    sim::NoYieldScope no_yield;
     return next_colocation_id_++;
   }
 
@@ -334,30 +334,23 @@ class CitusMetadata {
   std::map<std::string, DistributedProcedure> procedures;
 
  private:
-  /// Guards the table-map structure, the generation, and the id counters.
-  /// Lookups that hand out CitusTable pointers (Find/Get/tables()) stay
-  /// lock-free: simulated processes are cooperatively scheduled, so readers
-  /// cannot interleave with the locked mutation windows above — the mutex
-  /// makes those windows explicit and rank-ordered (see
-  /// common/ordered_mutex.h).
-  mutable OrderedMutex metadata_mu_{LockRank::kCitusMetadata};
-  /// Deliberately NOT GUARDED_BY(metadata_mu_): see the lock-free-reader
-  /// note above — annotating it would force every Find into a guard the
-  /// cooperative schedule does not need.
+  /// The table-map structure, the generation, and the id counters change
+  /// only inside a NoYieldScope. Lookups that hand out CitusTable pointers
+  /// (Find/Get/tables()) need none: a reader cannot interleave with a
+  /// section that does not yield.
   std::map<std::string, CitusTable> tables_;
-  uint64_t next_shard_id_ GUARDED_BY(metadata_mu_) = 102008;
-  int next_colocation_id_ GUARDED_BY(metadata_mu_) = 1;
-  uint64_t generation_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t cluster_version_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t known_cluster_version_ GUARDED_BY(metadata_mu_) = 0;
-  bool mx_synced_ GUARDED_BY(metadata_mu_) = false;
+  uint64_t next_shard_id_ = 102008;
+  int next_colocation_id_ = 1;
+  uint64_t generation_ = 0;
+  uint64_t cluster_version_ = 0;
+  uint64_t known_cluster_version_ = 0;
+  bool mx_synced_ = false;
   /// (version, table name) drops for delta sync; see RecordTableDrop.
   static constexpr size_t kDropLogCap = 256;
-  std::vector<std::pair<uint64_t, std::string>> dropped_log_
-      GUARDED_BY(metadata_mu_);
-  uint64_t drop_log_floor_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t workers_modified_version_ GUARDED_BY(metadata_mu_) = 0;
-  uint64_t procedures_modified_version_ GUARDED_BY(metadata_mu_) = 0;
+  std::vector<std::pair<uint64_t, std::string>> dropped_log_;
+  uint64_t drop_log_floor_ = 0;
+  uint64_t workers_modified_version_ = 0;
+  uint64_t procedures_modified_version_ = 0;
 };
 
 /// Evenly divide the int32 hash space into `count` intervals.

@@ -1,6 +1,5 @@
 #include "citus/plancache.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <set>
@@ -22,7 +21,7 @@ using sql::ExprPtr;
 
 // Worker prepared-statement names must be unique per backend; a global
 // counter keeps them unique across sessions and extensions.
-std::atomic<int64_t> g_next_plan_id{1};
+int64_t g_next_plan_id = 1;
 
 // Template sentinels (see DeparseOptions::param_markers): \x01 marks the
 // table name, \x02<n>\x02 marks parameter n.

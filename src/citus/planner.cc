@@ -11,11 +11,6 @@
 
 namespace citusx::citus {
 
-std::atomic<int64_t> DistributedPlanner::fast_path_count{0};
-std::atomic<int64_t> DistributedPlanner::router_count{0};
-std::atomic<int64_t> DistributedPlanner::pushdown_count{0};
-std::atomic<int64_t> DistributedPlanner::join_order_count{0};
-
 namespace {
 
 using sql::BinOp;

@@ -4,7 +4,6 @@
 #ifndef CITUSX_CITUS_PLANNER_H_
 #define CITUSX_CITUS_PLANNER_H_
 
-#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
@@ -59,12 +58,11 @@ class DistributedPlanner {
       engine::Session& session, const sql::Statement& stmt,
       const std::vector<sql::Datum>& params);
 
-  /// Stats: how many statements each tier has planned. Atomic so that
-  /// concurrent sessions (and TSan builds) stay clean.
-  static std::atomic<int64_t> fast_path_count;
-  static std::atomic<int64_t> router_count;
-  static std::atomic<int64_t> pushdown_count;
-  static std::atomic<int64_t> join_order_count;
+  /// Stats: how many statements each tier has planned.
+  static inline int64_t fast_path_count = 0;
+  static inline int64_t router_count = 0;
+  static inline int64_t pushdown_count = 0;
+  static inline int64_t join_order_count = 0;
 
  private:
   Result<engine::QueryResult> ExecuteSelect(

@@ -1,13 +1,11 @@
 #include "engine/catalog.h"
 
-#include <mutex>
-
 namespace citusx::engine {
 
 Result<TableInfo*> Catalog::CreateTable(
     const std::string& name, sql::Schema schema,
     const std::vector<std::string>& primary_key, bool columnar) {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table already exists: " + name);
   }
@@ -47,7 +45,7 @@ Result<TableInfo*> Catalog::CreateTable(
 Result<IndexInfo*> Catalog::CreateBtreeIndex(
     const std::string& table, const std::string& index_name,
     const std::vector<std::string>& columns, bool unique) {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   return CreateBtreeIndexLocked(table, index_name, columns, unique);
 }
 
@@ -88,7 +86,7 @@ Result<IndexInfo*> Catalog::CreateBtreeIndexLocked(
 Result<IndexInfo*> Catalog::CreateGinIndex(const std::string& table,
                                            const std::string& index_name,
                                            sql::ExprPtr expression) {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   TableInfo* info = FindLocked(table);
   if (info == nullptr) {
     return Status::NotFound("relation \"" + table + "\" does not exist");
@@ -111,11 +109,11 @@ Result<IndexInfo*> Catalog::CreateGinIndex(const std::string& table,
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  // Detach under the lock; release storage outside it (pure memory today,
+  // Detach inside the scope; release storage outside it (pure memory today,
   // but keeps the critical section minimal).
   std::unique_ptr<TableInfo> detached;
   {
-    MutexLock guard(catalog_mu_);
+    sim::NoYieldScope no_yield;
     auto it = tables_.find(name);
     if (it == tables_.end()) {
       return Status::NotFound("table does not exist: " + name);
@@ -138,17 +136,17 @@ TableInfo* Catalog::FindLocked(const std::string& name) const {
 }
 
 TableInfo* Catalog::Find(const std::string& name) {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   return FindLocked(name);
 }
 
 const TableInfo* Catalog::Find(const std::string& name) const {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   return FindLocked(name);
 }
 
 Result<TableInfo*> Catalog::Get(const std::string& name) {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   TableInfo* info = FindLocked(name);
   if (info == nullptr) {
     return Status::NotFound("relation \"" + name + "\" does not exist");
@@ -157,7 +155,7 @@ Result<TableInfo*> Catalog::Get(const std::string& name) {
 }
 
 std::vector<TableInfo*> Catalog::AllTables() {
-  MutexLock guard(catalog_mu_);
+  sim::NoYieldScope no_yield;
   std::vector<TableInfo*> out;
   for (auto& [name, info] : tables_) out.push_back(info.get());
   return out;

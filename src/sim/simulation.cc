@@ -8,14 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/ordered_mutex.h"
 #include "sim/fault.h"
 
 #ifdef __SANITIZE_ADDRESS__
 #include <sanitizer/asan_interface.h>
-#endif
-#ifdef __SANITIZE_THREAD__
-#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace citusx::sim {
@@ -44,15 +40,11 @@ struct Fiber {
     ASAN_UNPOISON_MEMORY_REGION(bottom, size);
 #endif
     munmap(mapping, kGuardSize + kStackSize);
-#ifdef __SANITIZE_THREAD__
-    __tsan_destroy_fiber(tsan);
-#endif
   }
   ucontext_t context{};
   char* mapping = nullptr;
   const void* bottom = nullptr;  // usable stack, for ASan
   size_t size = 0;
-  void* tsan = nullptr;
   Fiber* resumed_by = nullptr;
 };
 
@@ -129,9 +121,6 @@ std::unique_ptr<Fiber> Simulation::NewFiber() {
   // Only makecontext reads uc_stack; clearing it stops ASan's swapcontext
   // interceptor from wiping the stack's shadow on every switch.
   f->context.uc_stack.ss_size = 0;
-#ifdef __SANITIZE_THREAD__
-  f->tsan = __tsan_create_fiber(0);
-#endif
   stacks_allocated_++;
   return f;
 }
@@ -184,9 +173,6 @@ void Simulation::SwitchTo(Fiber* self, Process* to) {
   target->resumed_by = self;
   g_current_process = to;
   void* fake_stack = nullptr;
-#ifdef __SANITIZE_THREAD__
-  __tsan_switch_to_fiber(target->tsan, 0);
-#endif
 #ifdef __SANITIZE_ADDRESS__
   __sanitizer_start_switch_fiber(&fake_stack, target->bottom, target->size);
 #endif
@@ -198,11 +184,11 @@ bool Simulation::Yield(Process::State state, Time t) {
   Process* self = Current();
   assert(self != nullptr && "yield outside a simulated process");
   if (self->cancelled_) return false;
-  // DESIGN.md §6.4 at runtime: a process parked while holding an
-  // OrderedMutex would wedge the next process that locks it on this thread.
-  if (HeldLockDepth() != 0) {
-    std::fprintf(stderr, "[sim] %s: yield while holding %d "
-                 "OrderedMutex(es)\n", self->name().c_str(), HeldLockDepth());
+  // DESIGN.md §6.3 at runtime: another process would run in the middle of
+  // the critical section and see its state half updated.
+  if (NoYieldScope::depth() != 0) {
+    std::fprintf(stderr, "[sim] %s: yield inside %d NoYieldScope(s)\n",
+                 self->name().c_str(), NoYieldScope::depth());
     std::abort();
   }
   self->state_ = state;
@@ -217,9 +203,6 @@ bool Simulation::Step() {
   Process* next = PopNext();
   if (next == nullptr) return false;
   Process* const outer = g_current_process;  // non-null when nested
-#ifdef __SANITIZE_THREAD__
-  driver_->tsan = __tsan_get_current_fiber();
-#endif
   SwitchTo(driver_.get(), next);
   g_current_process = outer;
   return true;

@@ -11,8 +11,8 @@
 // themselves (WaitFor / WaitUntil) or by parking until another process wakes
 // them (Wake); the yielding fiber switches straight to the next event's
 // fiber. All ordering ties are broken by a monotonically increasing sequence
-// number, so runs are fully deterministic. Yielding while holding an
-// OrderedMutex aborts (DESIGN.md §6.4).
+// number, so runs are fully deterministic. Yielding inside a NoYieldScope
+// aborts (DESIGN.md §6.3).
 #ifndef CITUSX_SIM_SIMULATION_H_
 #define CITUSX_SIM_SIMULATION_H_
 
@@ -36,6 +36,26 @@ constexpr Time kSecond = 1000 * kMillisecond;
 class Simulation;
 class FaultInjector;
 struct Fiber;  // execution context + stack (simulation.cc)
+
+/// A critical section: code that reads and updates state other simulated
+/// processes share. Every process runs on the one thread that drives the
+/// simulation, so a section is atomic as long as it does not yield; Yield
+/// (WaitFor / WaitUntil / Block) aborts while any scope is live. Scopes
+/// nest. cituslint's `blocking-under-lock` rule checks the same statically.
+class NoYieldScope {
+ public:
+  NoYieldScope() { depth_++; }
+  ~NoYieldScope() { depth_--; }
+
+  NoYieldScope(const NoYieldScope&) = delete;
+  NoYieldScope& operator=(const NoYieldScope&) = delete;
+
+  /// Number of live scopes.
+  static int depth() { return depth_; }
+
+ private:
+  static inline int depth_ = 0;
+};
 
 /// One simulated thread of control. Created via Simulation::Spawn; the body
 /// runs on its own fiber, switched to whenever one of its events is due.

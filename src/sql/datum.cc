@@ -142,7 +142,7 @@ int32_t Datum::PartitionHash() const {
     case TypeId::kJsonb:
       return HashBytes(JsonText());
     case TypeId::kFloat8:
-      return HashInt64(static_cast<int64_t>(d_ * 1e6));
+      return HashInt64(SaturatingInt64(d_ * 1e6));
     default:
       return HashInt64(i_);
   }
@@ -417,7 +417,7 @@ Result<int64_t> ParseTimestamp(const std::string& s) {
   }
   int64_t days = CivilToDays(y, mo, d);
   int64_t us = days * 86400000000LL + (h * 3600LL + mi * 60LL) * 1000000LL +
-               static_cast<int64_t>(sec * 1e6);
+               SaturatingInt64(sec * 1e6);
   return us;
 }
 

@@ -2,7 +2,9 @@
 #ifndef CITUSX_SQL_DATUM_H_
 #define CITUSX_SQL_DATUM_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +14,15 @@
 #include "sql/types.h"
 
 namespace citusx::sql {
+
+/// `d` truncated toward zero and clamped to the int64 range; NaN gives 0.
+/// (Casting an out-of-range double to int64 is undefined behaviour.)
+inline int64_t SaturatingInt64(double d) {
+  if (std::isnan(d)) return 0;
+  if (d >= 0x1p63) return std::numeric_limits<int64_t>::max();
+  if (d < -0x1p63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(d);
+}
 
 /// A runtime SQL value. 32 bytes: a type tag, one 8-byte slot holding the
 /// int64 or the double, and a reference-counted immutable payload (the
@@ -100,9 +111,9 @@ class Datum {
   double AsDouble() const {
     return type_ == TypeId::kFloat8 ? d_ : static_cast<double>(i_);
   }
-  /// Numeric value as int64 (float truncates).
+  /// Numeric value as int64 (float truncates, see SaturatingInt64).
   int64_t AsInt64() const {
-    return type_ == TypeId::kFloat8 ? static_cast<int64_t>(d_) : i_;
+    return type_ == TypeId::kFloat8 ? SaturatingInt64(d_) : i_;
   }
 
   /// Three-way comparison with numeric cross-type coercion. NULLs sort last.

@@ -841,5 +841,35 @@ TEST_F(CitusTest, ExistingRowsMigrateOnDistribution) {
   });
 }
 
+// With slow start off, a multi-shard query spawns one pool-growth opener per
+// queued task. Opening a connection takes longer here than the query, so
+// the openers are still connecting when the client disconnects and its
+// session is freed: they must not touch the freed session, and the
+// connections they open must close with the session's state.
+TEST_F(CitusTest, PoolGrowthOpenersOutliveTheirSession) {
+  DeploymentOptions options;
+  options.num_workers = 2;
+  options.cost.connect_cost = 100 * sim::kMillisecond;
+  options.citus.enable_slow_start = false;
+  options.citus.enable_task_pipelining = false;
+  deploy_ = std::make_unique<Deployment>(&sim_, options);
+  CitusExtension* ext = deploy_->extension(deploy_->coordinator());
+  int64_t growth = 0;
+  RunSim([&] {
+    auto conn = deploy_->Connect();
+    MustQuery(**conn, "CREATE TABLE kv (key bigint PRIMARY KEY, v text)");
+    MustQuery(**conn, "SELECT create_distributed_table('kv', 'key')");
+    QueryResult r = MustQuery(**conn, "SELECT count(*) FROM kv");
+    EXPECT_EQ(r.rows[0][0].int_value(), 0);
+    growth = ext->metric_pool_growth->value();
+  });  // the client disconnects here
+  RunSim([&] { sim_.WaitFor(sim::kSecond); });
+  EXPECT_GT(ext->metric_pool_growth->value(), growth)
+      << "no opener finished after its session ended";
+  for (engine::Node* w : deploy_->workers()) {
+    EXPECT_EQ(ext->outgoing_connections(w->name()), 0) << w->name();
+  }
+}
+
 }  // namespace
 }  // namespace citusx::citus

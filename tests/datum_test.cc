@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,15 +131,15 @@ TEST(DatumAccessors, WrongTypeAccessorsReadZeroOrEmpty) {
 struct Expected {
   const char* name;
   std::string group_key;
-  std::optional<int32_t> partition_hash;  // nullopt: not pinned (see below)
+  int32_t partition_hash;
   std::string sql_literal;
   std::string text;
   int64_t physical_size;
 };
 
 TEST(DatumOutputs, PinnedTable) {
-  // The hash of a float truncates d * 1e6 to int64, which is out of range
-  // (platform-defined) for NaN and 1e20: those two hashes are not pinned.
+  // The hash of a float hashes d * 1e6 as a saturated int64: NaN hashes
+  // like 0, and 1e20 like INT64_MAX.
   const std::vector<Expected> expected = {
       {"null", "", 0, "NULL", "", 1},
       {"bool_false", "I0", 2065550767, "FALSE", "false", 1},
@@ -149,9 +148,9 @@ TEST(DatumOutputs, PinnedTable) {
       {"int8", "I42", 803958421, "42", "42", 8},
       {"float_negzero", "F-0", 2065550767, "-0", "0", 8},
       {"float_zero", "F0", 2065550767, "0", "0", 8},
-      {"float_nan", "Fnan", std::nullopt, "nan", "nan", 8},
+      {"float_nan", "Fnan", 2065550767, "nan", "nan", 8},
       {"float_frac", "F2.5", -47027319, "2.5", "2.5", 8},
-      {"float_big", "F1e+20", std::nullopt, "1e+20", "1e+20", 8},
+      {"float_big", "F1e+20", 771989159, "1e+20", "1e+20", 8},
       {"text_empty", "T", -211297685, "''", "", 4},
       {"text_short", "Tit's", 1135363781, "'it''s'", "it's", 8},
       {"text_long", "Ta text value longer than 15 bytes", -1497269227,
@@ -173,9 +172,7 @@ TEST(DatumOutputs, PinnedTable) {
     const Expected& e = expected[i];
     ASSERT_STREQ(values[i].name, e.name);
     EXPECT_EQ(d.GroupKey(), e.group_key) << e.name;
-    if (e.partition_hash.has_value()) {
-      EXPECT_EQ(d.PartitionHash(), *e.partition_hash) << e.name;
-    }
+    EXPECT_EQ(d.PartitionHash(), e.partition_hash) << e.name;
     EXPECT_EQ(d.ToSqlLiteral(), e.sql_literal) << e.name;
     EXPECT_EQ(d.ToText(), e.text) << e.name;
     EXPECT_EQ(d.PhysicalSize(), e.physical_size) << e.name;
@@ -185,6 +182,29 @@ TEST(DatumOutputs, PinnedTable) {
     EXPECT_EQ(copy.PhysicalSize(), e.physical_size) << e.name;
     EXPECT_EQ(Datum::Compare(copy, d), 0) << e.name;
   }
+}
+
+TEST(DatumOutputs, OutOfRangeFloatsSaturate) {
+  // Floats whose int64 conversion is out of range (NaN, the infinities,
+  // |d * 1e6| >= 2^63) hash and convert to defined values; in-range values
+  // keep plain truncation.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Datum::Float8(nan).PartitionHash(), 2065550767);
+  EXPECT_EQ(Datum::Float8(inf).PartitionHash(), 771989159);
+  EXPECT_EQ(Datum::Float8(1e20).PartitionHash(), 771989159);
+  EXPECT_EQ(Datum::Float8(-inf).PartitionHash(), 313127899);
+  EXPECT_EQ(Datum::Float8(-1e20).PartitionHash(), 313127899);
+  EXPECT_EQ(Datum::Float8(nan).AsInt64(), 0);
+  EXPECT_EQ(Datum::Float8(inf).AsInt64(), max);
+  EXPECT_EQ(Datum::Float8(-inf).AsInt64(), min);
+  EXPECT_EQ(Datum::Float8(1e20).AsInt64(), max);
+  EXPECT_EQ(Datum::Float8(-0x1p63).AsInt64(), min);
+  EXPECT_EQ(Datum::Float8(-2.9).AsInt64(), -2);
+  EXPECT_EQ(Datum::Float8(9.2e12).PartitionHash(),
+            Datum::Int8(9200000000000000000).PartitionHash());
 }
 
 TEST(DatumOutputs, PinnedCompareMatrix) {

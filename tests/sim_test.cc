@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ordered_mutex.h"
 #include "sim/channel.h"
 #include "sim/histogram.h"
 #include "sim/resources.h"
@@ -224,14 +223,28 @@ TEST(SimulationDeathTest, WaitUnderLockAborts) {
   EXPECT_DEATH(
       {
         Simulation sim;
-        OrderedMutex mu(LockRank::kCatalog);
         sim.Spawn("holder", [&] {
-          MutexLock lock(mu);
+          NoYieldScope outer;
+          NoYieldScope inner;
           sim.WaitFor(1);
         });
         sim.Run();
       },
-      "holder: yield while holding 1 OrderedMutex");
+      "holder: yield inside 2 NoYieldScope");
+}
+
+TEST(Simulation, YieldAfterNoYieldScopeCloses) {
+  Simulation sim;
+  sim.Spawn("p", [&] {
+    {
+      NoYieldScope scope;
+      EXPECT_EQ(NoYieldScope::depth(), 1);
+    }
+    EXPECT_TRUE(sim.WaitFor(1));
+  });
+  sim.Run();
+  EXPECT_EQ(NoYieldScope::depth(), 0);
+  sim.Shutdown();
 }
 
 TEST(CpuResource, SingleCoreSerializesWork) {
